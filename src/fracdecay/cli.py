@@ -12,7 +12,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -222,43 +221,38 @@ def _run_nonlinear_once(args, suffix="", created=None):
     return EXIT_OK if rep.verdict != "violated" else EXIT_VIOLATION
 
 
+class _SweepParser(argparse.ArgumentParser):
+    """Parses experiment-file entries; bad entries raise ConfigError."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _cmd_nonlinear_solve(args):
     if not args.experiment:
         return _run_nonlinear_once(args)
-    sections = io.parse_experiment_file(args.experiment)
-    if not sections:
-        return EXIT_OK
-    numeric_int = {"points", "steps", "seed"}
+    # entries are checked against the `nonlinear solve` flags themselves
+    flags = _SweepParser(add_help=False, allow_abbrev=False)
+    _nonlinear_flags(flags)
+    flags.add_argument("--seed", type=int)
     jobs = []
-    for section, kv in sections.items():
-        keys, grids = [], []
-        base = argparse.Namespace(**vars(args))
-        for k, v in kv.items():
-            key = k.replace("-", "_")
-            if not hasattr(base, key):
-                raise ConfigError(f"[{section}] unknown key {k!r}")
-            if isinstance(v, list):
-                keys.append(key)
-                grids.append(v)
-            else:
-                setattr(base, key, int(v) if key in numeric_int else v)
-        for combo in itertools.product(*grids) if grids else [()]:
-            run = argparse.Namespace(**vars(base))
-            tags = []
-            for key, val in zip(keys, combo):
-                setattr(run, key, int(val) if key in numeric_int else val)
-                tags.append(f"{key}{val:g}" if isinstance(val, float)
-                            else f"{key}{val}")
+    for section, kv in io.parse_experiment_file(args.experiment).items():
+        kv = {k.replace("-", "_"): v for k, v in kv.items()}
+        grids = {k: v for k, v in kv.items() if isinstance(v, list)}
+        for combo in itertools.product(*grids.values()):
+            point = dict(zip(grids, combo))
+            argv = [f"--{k.replace('_', '-')}={v}"
+                    for k, v in {**kv, **point}.items()]
+            try:
+                run = flags.parse_args(argv, argparse.Namespace(**vars(args)))
+            except ConfigError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
+            tags = [f"{k}{v:g}" if isinstance(v, float) else f"{k}{v}"
+                    for k, v in point.items()]
             jobs.append((run, "_" + "_".join([section] + tags)))
     created = []
     try:
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                codes = list(pool.map(
-                    lambda j: _run_nonlinear_once(j[0], j[1], created), jobs))
-        else:
-            codes = [_run_nonlinear_once(run, tag, created)
-                     for run, tag in jobs]
+        codes = [_run_nonlinear_once(run, tag, created) for run, tag in jobs]
     except Exception:
         # a failed sweep leaves no partial artifact set behind
         for path in created:
@@ -303,13 +297,34 @@ def _cmd_reproduce(args):
     return EXIT_OK if all(r.passed for r in rows) else EXIT_VIOLATION
 
 
+def _nonlinear_flags(s):
+    s.add_argument("--operator", default="laplace",
+                   choices=("laplace", "p_laplace", "porous_medium",
+                            "degenerate", "mean_curvature", "kirchhoff"))
+    s.add_argument("--p", type=float, default=2.0)
+    s.add_argument("--m", type=float, default=0.0)
+    s.add_argument("--q", type=float, default=0.0)
+    s.add_argument("--gamma", type=float, default=0.0)
+    s.add_argument("--alpha", type=float, default=0.5)
+    s.add_argument("--beta", type=float, default=0.5)
+    s.add_argument("--kappa", type=float, default=1.0)
+    s.add_argument("--source", default="none",
+                   choices=("none", "fisher_kpp", "power_absorption"))
+    s.add_argument("--mu", type=float, default=0.0)
+    s.add_argument("--u0-preset", default="sine")
+    s.add_argument("--L", type=float, default=math.pi)
+    s.add_argument("--points", type=int, default=127)
+    s.add_argument("--T", type=float, default=100.0)
+    s.add_argument("--steps", type=int, default=1024)
+    s.add_argument("--grading", type=float, default=0.0)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="fracdecay",
         description="Fractional-diffusion decay toolkit",
     )
     ap.add_argument("--out", default=None, help="output directory for CSVs")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tolerance-profile", choices=("strict", "fast"),
                     default="strict")
@@ -365,25 +380,7 @@ def build_parser():
 
     g = top.add_parser("nonlinear").add_subparsers(dest="verb", required=True)
     s = g.add_parser("solve")
-    s.add_argument("--operator", default="laplace",
-                   choices=("laplace", "p_laplace", "porous_medium",
-                            "degenerate", "mean_curvature", "kirchhoff"))
-    s.add_argument("--p", type=float, default=2.0)
-    s.add_argument("--m", type=float, default=0.0)
-    s.add_argument("--q", type=float, default=0.0)
-    s.add_argument("--gamma", type=float, default=0.0)
-    s.add_argument("--alpha", type=float, default=0.5)
-    s.add_argument("--beta", type=float, default=0.5)
-    s.add_argument("--kappa", type=float, default=1.0)
-    s.add_argument("--source", default="none",
-                   choices=("none", "fisher_kpp", "power_absorption"))
-    s.add_argument("--mu", type=float, default=0.0)
-    s.add_argument("--u0-preset", default="sine")
-    s.add_argument("--L", type=float, default=math.pi)
-    s.add_argument("--points", type=int, default=127)
-    s.add_argument("--T", type=float, default=100.0)
-    s.add_argument("--steps", type=int, default=1024)
-    s.add_argument("--grading", type=float, default=0.0)
+    _nonlinear_flags(s)
     s.add_argument("--experiment", default=None,
                    help="key-value sweep file; list values form a grid")
     s.set_defaults(func=_cmd_nonlinear_solve)
@@ -391,7 +388,6 @@ def build_parser():
     g = top.add_parser("decay").add_subparsers(dest="verb", required=True)
     s = g.add_parser("fit")
     s.add_argument("--input", required=True)
-    s.add_argument("--model", default="auto", choices=("auto",))
     s.add_argument("--window", type=float, default=2.0)
     s.add_argument("--exponent", type=float, default=None)
     s.add_argument("--one-sided", action="store_true")

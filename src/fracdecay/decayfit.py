@@ -70,12 +70,10 @@ def fit_power_tail(times, energies, window: float = 2.0):
     t, e = _valid(times, energies)
     if len(t) < 10:
         raise DegenerateTrace("fewer than 10 usable (t, E) points")
-    mask, (t_lo, t_hi) = _tail_window(t, window)
+    mask, _ = _tail_window(t, window)
     if mask.sum() < 10:
         raise DegenerateTrace("fewer than 10 points in the fit window")
-    lt, le = np.log(t[mask]), np.log(e[mask])
-    slope, intercept = np.polyfit(lt, le, 1)
-    resid = float(np.sqrt(np.mean((le - (slope * lt + intercept)) ** 2)))
+    slope, intercept, resid = _line_fit(np.log(t[mask]), np.log(e[mask]))
     return -float(slope), float(intercept), resid
 
 

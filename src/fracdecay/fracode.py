@@ -58,11 +58,14 @@ class ScalarTrace:
 
 
 class CaputoL1Operator:
-    """Discrete Caputo derivative of order alpha in (0,1) on a fixed grid."""
+    """Discrete Caputo derivative of order alpha in (0,1] on a fixed grid.
+
+    At alpha = 1 the weights take their L1 limit, which is backward Euler.
+    """
 
     def __init__(self, grid: TimeGrid, alpha: float):
-        if not 0.0 < alpha < 1.0:
-            raise DomainError("L1 weights require alpha in (0,1)")
+        if not 0.0 < alpha <= 1.0:
+            raise DomainError("L1 weights require alpha in (0,1]")
         self.grid = grid
         self.alpha = alpha
         self._t = grid.nodes
@@ -71,6 +74,11 @@ class CaputoL1Operator:
 
     def weights_row(self, n: int) -> np.ndarray:
         """Weights a_{n,1..n} of the convolution at node t_n."""
+        if self.alpha == 1.0:
+            # (t_n - t_k)^(1-a) -> 1 for k < n but -> 0 for k = n
+            row = np.zeros(n)
+            row[-1] = 1.0 / self._h[n - 1]
+            return row
         t = self._t
         e = 1.0 - self.alpha
         d = t[n] - t[:n + 1]
@@ -94,9 +102,25 @@ class CaputoL1Operator:
             out[n - 1] = self.weights_row(n) @ du[:n]
         return out
 
+    def march(self, u0, solve) -> np.ndarray:
+        """Implicit L1 time stepping from u0, a scalar or an (M,) field.
 
-def caputo_l1_apply(op: CaputoL1Operator, samples: np.ndarray) -> np.ndarray:
-    return op.apply(samples)
+        At each node t_n, n = 1..N, the scheme reads
+        a_nn (u_n - u_{n-1}) + hist = (rest of the equation at t_n) with the
+        explicit history hist = sum_{k<n} a_{n,k} (u_k - u_{k-1});
+        ``solve(n, a_nn, hist, u_{n-1})`` returns u_n.  Returns the nodal
+        values, shape (N+1,) or (N+1, M).
+        """
+        u0 = np.asarray(u0, dtype=float)
+        N = self.grid.steps
+        U = np.empty((N + 1,) + u0.shape)
+        U[0] = u0
+        dU = np.empty((N,) + u0.shape)
+        for n in range(1, N + 1):
+            row = self.weights_row(n)
+            U[n] = solve(n, row[-1], row[:-1] @ dU[:n - 1], U[n - 1])
+            dU[n - 1] = U[n] - U[n - 1]
+        return U
 
 
 def solve_linear_mode(alpha: float, beta: float, lam: float, u0: float,
@@ -104,31 +128,20 @@ def solve_linear_mode(alpha: float, beta: float, lam: float, u0: float,
     """Implicit L1 stepping of  D^a u + lam t^b u = 0,  u(0) = u0.
 
     The coefficient t^b is taken at the right endpoint of each step, so
-    negative b never touches t = 0.  For alpha = 1 a backward-Euler branch
-    is used instead of a limit of the L1 weights.
+    negative b never touches t = 0.  At alpha = 1 the L1 weights reduce
+    to backward Euler.
     """
     if lam < 0:
         raise DomainError("lam must be nonnegative")
-    t = grid.nodes
-    N = grid.steps
-    u = np.empty(N + 1)
-    u[0] = u0
-    if alpha == 1.0:
-        h = np.diff(t)
-        for n in range(1, N + 1):
-            u[n] = u[n - 1] / (1.0 + h[n - 1] * lam * t[n] ** beta)
-        return ScalarTrace(times=t, values=u)
+    op = CaputoL1Operator(grid, alpha)
     if beta <= -alpha:
         raise DomainError("require beta > -alpha")
-    op = CaputoL1Operator(grid, alpha)
-    du = np.empty(N)
-    for n in range(1, N + 1):
-        row = op.weights_row(n)
-        hist = row[:-1] @ du[:n - 1] if n > 1 else 0.0
-        ann = row[-1]
-        u[n] = (ann * u[n - 1] - hist) / (ann + lam * t[n] ** beta)
-        du[n - 1] = u[n] - u[n - 1]
-    return ScalarTrace(times=t, values=u)
+    t = grid.nodes
+
+    def solve(n, ann, hist, prev):
+        return (ann * prev - hist) / (ann + lam * t[n] ** beta)
+
+    return ScalarTrace(times=t, values=op.march(u0, solve))
 
 
 @dataclass(frozen=True)
@@ -164,17 +177,14 @@ def solve_semilinear(params: SemilinearParams, alpha: float,
 
     Each step reduces to  w + c w^delta = rhs  with c > 0, whose left side
     is strictly increasing on w >= 0, so a bracketed solve on [0, rhs]
-    cannot fail as long as rhs stays positive.
+    cannot fail as long as rhs stays positive.  At alpha = 1 the L1
+    weights reduce to backward Euler.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("alpha must lie in (0, 1]")
-    if alpha < 1.0 and params.beta <= -alpha:
+    op = CaputoL1Operator(grid, alpha)
+    if params.beta <= -alpha:
         raise DomainError("require beta > -alpha")
     t = grid.nodes
-    N = grid.steps
     nu, delta, beta = params.nu, params.delta, params.beta
-    u = np.empty(N + 1)
-    u[0] = params.H0
 
     def step(c, rhs):
         if rhs <= 0.0:
@@ -187,21 +197,10 @@ def solve_semilinear(params: SemilinearParams, alpha: float,
         except ValueError as exc:
             raise RootSolveFailure(str(exc)) from exc
 
-    if alpha == 1.0:
-        h = np.diff(t)
-        for n in range(1, N + 1):
-            u[n] = step(h[n - 1] * nu * t[n] ** beta, u[n - 1])
-        return ScalarTrace(times=t, values=u)
+    def solve(n, ann, hist, prev):
+        return step(nu * t[n] ** beta / ann, prev - hist / ann)
 
-    op = CaputoL1Operator(grid, alpha)
-    du = np.empty(N)
-    for n in range(1, N + 1):
-        row = op.weights_row(n)
-        hist = row[:-1] @ du[:n - 1] if n > 1 else 0.0
-        ann = row[-1]
-        u[n] = step(nu * t[n] ** beta / ann, u[n - 1] - hist / ann)
-        du[n - 1] = u[n] - u[n - 1]
-    return ScalarTrace(times=t, values=u)
+    return ScalarTrace(times=t, values=op.march(params.H0, solve))
 
 
 def lemma_envelope(params: SemilinearParams, alpha: float):

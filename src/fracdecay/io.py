@@ -87,11 +87,11 @@ def parse_experiment_file(path: str):
     cp.optionxform = str  # keys are case-sensitive parameter names
     try:
         read = cp.read(path)
+        # values are interpolated, and may fail, only when read out
+        items = {section: cp.items(section) for section in cp.sections()}
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read experiment file {path}")
-    out = {}
-    for section in cp.sections():
-        out[section] = {k: _coerce(v) for k, v in cp.items(section)}
-    return out
+    return {section: {k: _coerce(v) for k, v in kv}
+            for section, kv in items.items()}

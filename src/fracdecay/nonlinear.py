@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -59,9 +59,6 @@ class OperatorSpec:
     gamma: float = 0.0                   # Kirchhoff M(s) >= b s^gamma
     b: float = 1.0
     qnorm: float = 2.0                   # Kirchhoff gradient-norm index
-    g: Optional[Callable] = None         # overrides |u|^m scaling
-    f: Optional[Callable] = None
-    M_func: Optional[Callable] = None
 
     def __post_init__(self):
         kinds = ("laplace", "p_laplace", "porous_medium", "degenerate",
@@ -78,18 +75,12 @@ class OperatorSpec:
             raise DomainError("Kirchhoff requires gamma >= 0, b > 0")
 
     def g_eval(self, u):
-        if self.g is not None:
-            return self.g(u)
         return self.c0 * np.abs(u) ** self.m
 
     def f_eval(self, u):
-        if self.f is not None:
-            return self.f(u)
         return self.c1 * np.abs(u) ** self.q
 
     def M_eval(self, s):
-        if self.M_func is not None:
-            return self.M_func(s)
         return self.b * s ** self.gamma
 
 
@@ -190,7 +181,6 @@ class FieldTrace:
     tgrid: TimeGrid
     alpha: float
     fields: Optional[np.ndarray] = None  # (N+1, M) when kept
-    sup_gradient: float = math.nan
 
 
 def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
@@ -213,21 +203,12 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
         raise DomainError(f"u0 must have shape ({M},)")
     h = grid.h
     t = tgrid.nodes
-    N = tgrid.steps
     op = CaputoL1Operator(tgrid, alpha)
     porous_guard = spec.kind == "porous_medium" and np.all(u0 >= 0.0)
 
-    U = np.empty((N + 1, M))
-    U[0] = u0
-    dU = np.empty((N, M))
-    sup_grad = float(np.max(np.abs(_half_gradient(u0, h))))
-
-    for n in range(1, N + 1):
-        row = op.weights_row(n)
-        hist = row[:-1] @ dU[:n - 1] if n > 1 else np.zeros(M)
-        ann = row[-1]
+    def solve(n, ann, hist, prev):
         an = float(coeff.value(t[n]))
-        ustar = U[n - 1]
+        ustar = prev
         unew = ustar
         res_prev = math.inf
         for sweep in range(sweeps):
@@ -242,7 +223,7 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
                 else:
                     rhs_src -= source.mu * np.abs(ustar) ** source.p * ustar
 
-            rhs = ann * U[n - 1] - hist + rhs_src
+            rhs = ann * prev - hist + rhs_src
             ab = np.zeros((3, M))
             if spec.kind == "degenerate":
                 fv = spec.f_eval(ustar)
@@ -266,16 +247,14 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
                     f"fixed-point residual grows at t = {t[n]:g}"
                 )
             res_prev = res
-        U[n] = unew
-        dU[n - 1] = U[n] - U[n - 1]
         if porous_guard and float(np.min(unew)) < -1e-10:
             raise PositivityLoss(f"negative state at t = {t[n]:g}")
-        sup_grad = max(sup_grad, float(np.max(np.abs(_half_gradient(unew, h)))))
+        return unew
 
+    U = op.march(u0, solve)
     energies = np.sqrt(h * np.sum(U ** 2, axis=1))
     return FieldTrace(times=t, energies=energies, grid=grid, tgrid=tgrid,
-                      alpha=alpha, fields=U if keep_fields else None,
-                      sup_gradient=sup_grad)
+                      alpha=alpha, fields=U if keep_fields else None)
 
 
 def check_energy_inequality(trace: FieldTrace, alpha: float) -> np.ndarray:

@@ -63,6 +63,7 @@ class EigenSystem:
     basis: np.ndarray        # (K, nq) eigenfunctions at quadrature nodes
     quad_nodes: np.ndarray   # (nq,) or (nq, 2)
     quad_weights: np.ndarray # (nq,)
+    _pairs: tuple = ()       # (kx, ky) per mode on rectangles
 
     @property
     def dim(self) -> int:
@@ -82,9 +83,6 @@ class EigenSystem:
         for i, (kx, ky) in enumerate(self._pairs):
             out[i] = (_mode_1d(Lx, self.bc, kx, x) * _mode_1d(Ly, self.bc, ky, y))
         return out
-
-    # filled by the rectangle constructor
-    _pairs: tuple = ()
 
 
 def _mode_1d(L, bc, k, x):
@@ -129,10 +127,8 @@ def rectangle_eigensystem(Lx: float, Ly: float, bc: str = "dirichlet",
     for i, (kx, ky) in enumerate(pairs):
         basis[i] = (_mode_1d(Lx, bc, kx, nx)[:, None]
                     * _mode_1d(Ly, bc, ky, ny)[None, :]).ravel()
-    sys = EigenSystem(geometry=(Lx, Ly), bc=bc, K=K, lambdas=lam, basis=basis,
-                      quad_nodes=nodes, quad_weights=weights)
-    object.__setattr__(sys, "_pairs", pairs)
-    return sys
+    return EigenSystem(geometry=(Lx, Ly), bc=bc, K=K, lambdas=lam, basis=basis,
+                       quad_nodes=nodes, quad_weights=weights, _pairs=pairs)
 
 
 def log_times(T: float, t_min: float = 1e-2, per_decade: int = 40) -> np.ndarray:
@@ -340,42 +336,6 @@ def verify_neumann(trace: SolutionTrace, sys: EigenSystem, alpha: float,
                            upper_ok=rep.upper_ok, notes=notes)
     return decayfit.check_envelope(tau, E, s, two_sided=True,
                                    predicted_tag="alpha+beta")
-
-
-def verify_general_coefficient_upper(trace: SolutionTrace, sys: EigenSystem,
-                                     alpha: float, kappa: float,
-                                     beta: float) -> DecayReport:
-    """One-sided bound E <= M/(1 + lam_1 kappa t^(a+b)) via modal domination.
-
-    The trace's modal values are compared against a rerun with the
-    coefficient replaced by its declared minorant kappa t^beta; a declared
-    kappa that is too large shows up as a domination violation.
-    """
-    times = trace.times
-    u0k = trace.coeffs[:, 0]
-    if alpha == 1.0:
-        A = kappa * times ** (1.0 + beta) / (1.0 + beta)
-        minorant = np.abs(u0k)[:, None] * np.exp(-sys.lambdas[:, None] * A[None, :])
-    else:
-        # fold kappa into the eigenvalues and rerun with the minorant t^beta
-        scaled = EigenSystem(geometry=sys.geometry, bc=sys.bc, K=sys.K,
-                             lambdas=sys.lambdas * kappa, basis=sys.basis,
-                             quad_nodes=sys.quad_nodes,
-                             quad_weights=sys.quad_weights)
-        minorant = np.abs(solve_subdiffusion(scaled, alpha, beta,
-                                             np.abs(u0k), times).coeffs)
-    dominated = np.all(np.abs(trace.coeffs) <= minorant * (1.0 + 1e-8) + 1e-12)
-    E = trace.energies
-    s = alpha + beta
-    lam1 = sys.lambdas[0]
-    q = E * (1.0 + lam1 * kappa * times ** s)
-    M = float(np.max(q))
-    verdict = "upper_only_ok" if dominated else "violated"
-    return DecayReport(verdict=verdict, predicted_exponent=s,
-                       predicted_tag="alpha+beta", envelope_upper=M,
-                       upper_ok=dominated,
-                       notes="modal domination by the declared minorant "
-                             + ("holds" if dominated else "fails"))
 
 
 # }}}

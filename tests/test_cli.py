@@ -99,6 +99,27 @@ def test_nonlinear_sweep_unknown_key(tmp_path):
                "--experiment", str(exp)) == 2
 
 
+@pytest.mark.parametrize("entry", ["alpha = abc", "steps = abc", "func = 3",
+                                   "u0-preset = 5%"],
+                         ids=["bad-float", "bad-int", "internal-key",
+                              "bad-interpolation"])
+def test_nonlinear_sweep_bad_entry(tmp_path, entry):
+    exp = tmp_path / "sweep.ini"
+    exp.write_text(f"[scan]\n{entry}\npoints = 15\n")
+    assert run("--out", str(tmp_path), "nonlinear", "solve",
+               "--experiment", str(exp)) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_failed_sweep_leaves_no_partial_artifacts(tmp_path):
+    # the second run breaks the coefficient hypothesis beta > -alpha
+    exp = tmp_path / "sweep.ini"
+    exp.write_text("[scan]\nbeta = 0.5, -0.6\npoints = 15\nsteps = 32\n")
+    assert run("--out", str(tmp_path), "nonlinear", "solve",
+               "--experiment", str(exp)) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_empty_sweep_is_ok(tmp_path):
     exp = tmp_path / "empty.ini"
     exp.write_text("")

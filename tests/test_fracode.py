@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdecay.errors import DomainError, GridMismatch
 from fracdecay.fracode import (CaputoL1Operator, SemilinearParams, TimeGrid,
@@ -120,6 +122,24 @@ def test_semilinear_alpha_one_branch():
     tr = solve_semilinear(params, 1.0, grid)
     exact = 1.0 / (1.0 + grid.nodes ** 2 / 2.0)
     assert np.max(np.abs(tr.values - exact)) < 2e-3
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(alpha=st.floats(0.2, 1.0), beta=st.floats(-0.1, 1.0),
+       nu=st.floats(0.3, 2.0))
+def test_semilinear_delta_one_is_linear_mode(alpha, beta, nu):
+    grid = TimeGrid(5.0, 512, default_grading(alpha))
+    lin = solve_linear_mode(alpha, beta, nu, 1.0, grid)
+    params = SemilinearParams(nu=nu, delta=1.0, beta=beta, H0=1.0)
+    semi = solve_semilinear(params, alpha, grid)
+    assert np.max(np.abs(semi.values - lin.values) / lin.values) < 1e-12
+    # at alpha = 1 the L1 weights are those of backward Euler
+    op = CaputoL1Operator(grid, 1.0)
+    h = np.diff(grid.nodes)
+    for n in (1, 2, 512):
+        expected = np.zeros(n)
+        expected[-1] = 1.0 / h[n - 1]
+        assert np.array_equal(op.weights_row(n), expected)
 
 
 def test_envelopes_continuous_and_ordered():
