@@ -63,11 +63,8 @@ def _parse_geometry(text):
 
 def _spectral_u0(sys_, text, seed):
     K = sys_.K
-    if text == "first_mode":
-        u0k = np.zeros(K); u0k[0] = 1.0
-        return u0k
-    if text == "constant":
-        if sys_.bc != "neumann":
+    if text in ("first_mode", "constant"):
+        if text == "constant" and sys_.bc != "neumann":
             raise ConfigError("preset 'constant' needs Neumann conditions")
         u0k = np.zeros(K); u0k[0] = 1.0
         return u0k
@@ -131,14 +128,20 @@ def _cmd_subdiffusion_solve(args):
     u0k = _spectral_u0(sys_, args.u0, args.seed)
     times = spectral.log_times(args.T)
     tr = spectral.solve_subdiffusion(sys_, args.alpha, args.beta, u0k, times)
-    s = args.alpha + args.beta
-    lam = sys_.lambdas[0] if sys_.bc == "dirichlet" \
-        else sys_.lambdas[sys_.lambdas > 0][0]
-    rep = decayfit.check_envelope(lam ** (1.0 / s) * times, tr.energies, s,
-                                  two_sided=(sys_.bc == "dirichlet"))
-    prof = 1.0 + lam * times ** s
-    lo = rep.envelope_lower / prof
-    hi = rep.envelope_upper / prof
+    if sys_.bc == "dirichlet":
+        rep = spectral.verify_dirichlet_sandwich(tr, sys_, args.alpha,
+                                                 args.beta)
+        lam, level = sys_.lambdas[0], 0.0
+    else:
+        rep = spectral.verify_neumann(tr, sys_, args.alpha, args.beta,
+                                      u0k[0], u0k[1])
+        lam = sys_.lambdas[sys_.lambdas > 0][0]
+        # with a conserved level the envelope constants bound E - |u00|
+        level = abs(u0k[0]) if abs(u0k[0]) > spectral.NEUMANN_PLATEAU_TOL \
+            else 0.0
+    prof = 1.0 + lam * times ** (args.alpha + args.beta)
+    lo = level + rep.envelope_lower / prof
+    hi = level + rep.envelope_upper / prof
     path = _out_path(args, "subdiffusion_trace.csv")
     io.write_csv_atomic(path, ["t", "E", "bound_lower", "bound_upper"],
                         [times, tr.energies, lo, hi])
@@ -235,7 +238,7 @@ def _cmd_nonlinear_solve(args):
     flags = _SweepParser(add_help=False, allow_abbrev=False)
     _nonlinear_flags(flags)
     flags.add_argument("--seed", type=int)
-    jobs = []
+    jobs = {}
     for section, kv in io.parse_experiment_file(args.experiment).items():
         kv = {k.replace("-", "_"): v for k, v in kv.items()}
         grids = {k: v for k, v in kv.items() if isinstance(v, list)}
@@ -249,10 +252,16 @@ def _cmd_nonlinear_solve(args):
                 raise ConfigError(f"[{section}] {exc}") from None
             tags = [f"{k}{v:g}" if isinstance(v, float) else f"{k}{v}"
                     for k, v in point.items()]
-            jobs.append((run, "_" + "_".join([section] + tags)))
+            tag = "_" + "_".join([section] + tags)
+            # {v:g} keeps 6 digits: refuse before any run starts
+            if tag in jobs:
+                raise ConfigError(f"[{section}] two grid points both write "
+                                  f"nonlinear_trace{tag}.csv")
+            jobs[tag] = run
     created = []
     try:
-        codes = [_run_nonlinear_once(run, tag, created) for run, tag in jobs]
+        codes = [_run_nonlinear_once(run, tag, created)
+                 for tag, run in jobs.items()]
     except Exception:
         # a failed sweep leaves no partial artifact set behind
         for path in created:

@@ -16,10 +16,14 @@ decay, so the summation switches between three regimes
   * beyond that, a bound-respecting surrogate: the geometric mean of the
     two-sided bounds, rescaled so it matches the last trustworthy series
     value.  Values from this branch are flagged as approximate.
+
+Mittag-Leffler is the m = 1 case, E_{a,b}(z) = E_{a,1,(b-1)/a}(z) / G(b),
+summed by the same engine; for z < -10 it uses its algebraic tail instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,71 +154,68 @@ def _plan(alpha, m, l, z, acc):
     )
 
 
-def _sum_double(alpha, m, l, z, acc):
-    s = 1.0
-    term = 1.0
+def _sum(ratios, zz, one, acc):
+    """1 + sum_k prod_{j<k} ratios[j] zz, summed in the number type of one.
+
+    The ratios run to _plan's term count, whose stop is stricter than the
+    one here, so running out of them means the sum did not settle.
+    """
+    s = term = one
     quiet = 0
-    for k in range(1, acc.max_terms + 1):
-        j = k - 1
-        term *= _sign_ratio(alpha, m, l, j) * math.exp(_log_ratio(alpha, m, l, j)) * z
+    for r in ratios:
+        term *= r * zz
         s += term
         if abs(term) < acc.abs_tol + acc.rel_tol * abs(s):
             quiet += 1
             if quiet >= 3:
-                return s
+                return float(s)
         else:
             quiet = 0
-    raise NonConvergence("double-precision summation exhausted max_terms")
+    raise NonConvergence("series summation exhausted the planned terms")
 
 
 _RATIO_CACHE: dict = {}
 
 
-def _mp_ratios(alpha, m, l, dps, n):
-    """Cached Gamma-ratio products at working precision dps."""
-    key = (round(alpha, 14), round(m, 14), round(l, 14), dps)
-    ratios = _RATIO_CACHE.setdefault(key, [])
+@functools.lru_cache(maxsize=None)
+def _mp_context(dps):
+    """An mpmath context fixed at dps digits.  Unlike mpmath.workdps it
+    leaves the process-wide precision alone, which threads share."""
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    return ctx
+
+
+def _mp_ratios(alpha, m, l, ctx, n):
+    """Cached Gamma-ratio factors of the first n terms at ctx's precision.
+
+    A longer table is built in full before it replaces the cached one, so a
+    concurrent reader only ever sees a complete table.
+    """
+    key = (round(alpha, 14), round(m, 14), round(l, 14), ctx.dps)
+    ratios = _RATIO_CACHE.get(key, ())
     if len(ratios) < n:
-        with mpmath.workdps(dps):
-            for j in range(len(ratios), n):
-                x = mpmath.mpf(alpha) * (j * mpmath.mpf(m) + mpmath.mpf(l)) + 1
-                y = x + mpmath.mpf(alpha)
-                ratios.append(mpmath.gamma(x) / mpmath.gamma(y))
-    return ratios
+        a, mm, ll = ctx.mpf(alpha), ctx.mpf(m), ctx.mpf(l)
+        more = []
+        for j in range(len(ratios), n):
+            x = a * (j * mm + ll) + 1
+            more.append(ctx.gamma(x) / ctx.gamma(x + a))
+        ratios = ratios + tuple(more)
+        _RATIO_CACHE[key] = ratios
+    return ratios[:n]
 
 
-def _sum_mp(alpha, m, l, z, acc, digits):
-    dps = int(digits) + 25
-    ratios = _mp_ratios(alpha, m, l, dps, acc.max_terms)
-    with mpmath.workdps(dps):
-        zz = mpmath.mpf(z)
-        s = mpmath.mpf(1)
-        term = mpmath.mpf(1)
-        quiet = 0
-        for k in range(1, acc.max_terms + 1):
-            term *= ratios[k - 1] * zz
-            s += term
-            if abs(term) < acc.abs_tol + acc.rel_tol * abs(s):
-                quiet += 1
-                if quiet >= 3:
-                    return float(s)
-            else:
-                quiet = 0
-    raise NonConvergence("big-float summation exhausted max_terms")
-
-
-def _series_value(params, z, acc):
-    alpha, m, l = params.alpha, params.m, params.l
+def _series_value(alpha, m, l, z, acc):
     n, peak = _plan(alpha, m, l, z, acc)
-    if z > 0.0:
-        # all-positive terms: no cancellation, only overflow to guard
-        if peak < 280.0 * _LN10:
-            return _sum_double(alpha, m, l, z, acc)
-        return _sum_mp(alpha, m, l, z, acc, peak / _LN10)
-    digits_lost = max(0.0, peak / _LN10)
-    if digits_lost <= _DOUBLE_DIGITS:
-        return _sum_double(alpha, m, l, z, acc)
-    return _sum_mp(alpha, m, l, z, acc, digits_lost)
+    digits = peak / _LN10
+    # positive z: all-positive terms, no cancellation, only overflow to guard
+    if digits <= (280.0 if z > 0.0 else _DOUBLE_DIGITS):
+        ratios = (_sign_ratio(alpha, m, l, j) * math.exp(_log_ratio(alpha, m, l, j))
+                  for j in range(n))
+        return _sum(ratios, z, 1.0, acc)
+    # digits rounded up to a multiple of 10 so nearby arguments share a table
+    ctx = _mp_context(-(-(int(digits) + 25) // 10) * 10)
+    return _sum(_mp_ratios(alpha, m, l, ctx, n), ctx.mpf(z), ctx.mpf(1), acc)
 
 
 # }}}
@@ -264,7 +265,7 @@ def _seam(params, acc):
             z0 = mid
         except NonConvergence:
             hi = mid
-    scale = _series_value(params, -z0, acc) / _geomean(alpha, m, z0)
+    scale = _series_value(alpha, m, l, -z0, acc) / _geomean(alpha, m, z0)
     _SEAM_CACHE[key] = (z0, scale)
     return z0, scale
 
@@ -285,8 +286,7 @@ def kilbas_saigo_with_info(params: KilbasSaigoParams, z: float,
         z0, scale = _seam(params, acc)
         if -z > z0:
             return scale * _geomean(params.alpha, params.m, -z), True
-        return _series_value(params, z, acc), False
-    return _series_value(params, z, acc), False
+    return _series_value(params.alpha, params.m, params.l, z, acc), False
 
 
 def kilbas_saigo(params: KilbasSaigoParams, z: float,
@@ -299,7 +299,8 @@ def mittag_leffler(alpha: float, beta: float, z: float,
                    acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     """Two-parameter function sum_k z^k / Gamma(alpha k + beta).
 
-    For z < -10 the classical algebraic tail -sum_{k=1..5} z^{-k}/G(beta-alpha k)
+    Summed by the Kilbas-Saigo engine with m = 1, l = (beta-1)/alpha.  For
+    z < -10 the classical algebraic tail -sum_{k=1..5} z^{-k}/G(beta-alpha k)
     replaces the series (which is hopeless there in finite precision).
     """
     if not (alpha > 0 and beta > 0):
@@ -309,53 +310,9 @@ def mittag_leffler(alpha: float, beta: float, z: float,
     if z < -10.0:
         return -sum(z ** (-k) * rgamma(beta - alpha * k) for k in range(1, 6))
 
-    logz = math.log(abs(z))
-    floor = math.log(max(acc.abs_tol, 1e-280)) - 2.0 * _LN10
-    peak = -gammaln(beta)
-    n = None
-    quiet = 0
-    for k in range(acc.max_terms + 1):
-        lt = k * logz - gammaln(alpha * k + beta)
-        peak = max(peak, lt)
-        if lt < floor and k > 0:
-            quiet += 1
-            if quiet >= 3:
-                n = k
-                break
-        else:
-            quiet = 0
-    if n is None:
-        raise NonConvergence(f"Mittag-Leffler series stalls at z = {z:g}")
-
-    if z > 0.0 and peak < 280.0 * _LN10 or (z < 0.0 and peak / _LN10 <= _DOUBLE_DIGITS):
-        s = 0.0
-        quiet = 0
-        for k in range(acc.max_terms + 1):
-            s += z ** k * math.exp(-gammaln(alpha * k + beta))
-            if k > 0 and abs(z ** k) * math.exp(-gammaln(alpha * k + beta)) \
-                    < acc.abs_tol + acc.rel_tol * abs(s):
-                quiet += 1
-                if quiet >= 3:
-                    return s
-            else:
-                quiet = 0
-        raise NonConvergence("double-precision summation exhausted max_terms")
-
-    dps = int(max(0.0, peak / _LN10)) + 25
-    with mpmath.workdps(dps):
-        zz = mpmath.mpf(z)
-        s = mpmath.mpf(0)
-        quiet = 0
-        for k in range(acc.max_terms + 1):
-            term = zz ** k / mpmath.gamma(alpha * k + beta)
-            s += term
-            if k > 0 and abs(term) < acc.abs_tol + acc.rel_tol * abs(s):
-                quiet += 1
-                if quiet >= 3:
-                    return float(s)
-            else:
-                quiet = 0
-    raise NonConvergence("big-float summation exhausted max_terms")
+    # a j + b > 0 for every j: no Gamma pole, so no KilbasSaigoParams scan
+    return (_series_value(alpha, 1.0, (beta - 1.0) / alpha, z, acc)
+            / math.gamma(beta))
 
 
 def reduce_to_mittag_leffler(params: KilbasSaigoParams):

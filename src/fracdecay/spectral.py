@@ -24,6 +24,8 @@ from .errors import DomainError, NonpositivePrimitive, QuadratureUnderResolved
 from .specfun import DEFAULT_ACCURACY, KilbasSaigoParams, SeriesAccuracy, kilbas_saigo
 
 _GL_POINTS = 6
+# |u00| above which Neumann data has a conserved level E(t) -> |u00|
+NEUMANN_PLATEAU_TOL = 1e-12
 
 
 def _panel_rule(a, b, panels):
@@ -317,7 +319,7 @@ def verify_neumann(trace: SolutionTrace, sys: EigenSystem, alpha: float,
     lam2 = sys.lambdas[sys.lambdas > 0][0]
     s = alpha + beta
     tau = lam2 ** (1.0 / s) * trace.times
-    if abs(u00) > 1e-12:
+    if abs(u00) > NEUMANN_PLATEAU_TOL:
         # fluctuation above the conserved-mode level decays like the
         # first nonzero mode
         fluct = E - abs(u00)
@@ -325,7 +327,8 @@ def verify_neumann(trace: SolutionTrace, sys: EigenSystem, alpha: float,
                                       two_sided=False, predicted_tag="alpha+beta")
         if rep.verdict == "degenerate":
             # no fluctuation at all: an exact plateau
-            rep = DecayReport(verdict="upper_only_ok", upper_ok=True)
+            rep = DecayReport(verdict="upper_only_ok", envelope_lower=0.0,
+                              envelope_upper=0.0, upper_ok=True)
         level_err = abs(E[-1] - abs(u00)) / abs(u00)
         notes = f"plateau |u00| = {abs(u00):.6g}, final rel dev {level_err:.3g}"
         return DecayReport(verdict=rep.verdict, fitted_exponent=rep.fitted_exponent,

@@ -55,6 +55,18 @@ def test_subdiffusion_solve_and_fit_pipeline(tmp_path, capsys):
     assert "sandwich_ok" in out
 
 
+def test_subdiffusion_neumann_plateau_is_ok(tmp_path, capsys):
+    # constant Neumann data keeps E = |u00|: the plateau branch of the
+    # Neumann dichotomy, not a violated decay
+    assert run("--out", str(tmp_path), "subdiffusion", "solve",
+               "--alpha", "0.5", "--beta", "0.5", "--bc", "neumann",
+               "--modes", "8", "--u0", "constant", "--T", "100") == 0
+    assert "upper_only_ok" in capsys.readouterr().out
+    _, cols = read_csv_columns(str(tmp_path / "subdiffusion_trace.csv"))
+    assert np.all(cols["bound_lower"] <= cols["E"])
+    assert np.all(cols["E"] <= cols["bound_upper"])
+
+
 def test_heat_solve(tmp_path):
     assert run("--out", str(tmp_path), "heat", "solve", "--alpha", "1",
                "--coeff-kind", "power", "--kappa", "1", "--beta", "1",
@@ -115,6 +127,16 @@ def test_failed_sweep_leaves_no_partial_artifacts(tmp_path):
     # the second run breaks the coefficient hypothesis beta > -alpha
     exp = tmp_path / "sweep.ini"
     exp.write_text("[scan]\nbeta = 0.5, -0.6\npoints = 15\nsteps = 32\n")
+    assert run("--out", str(tmp_path), "nonlinear", "solve",
+               "--experiment", str(exp)) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sweep_points_with_one_file_name_rejected(tmp_path):
+    # both betas print as 0.5 under the 6-digit file-name format
+    exp = tmp_path / "sweep.ini"
+    exp.write_text("[scan]\nbeta = 0.5000001, 0.5000002\npoints = 15\n"
+                   "steps = 32\n")
     assert run("--out", str(tmp_path), "nonlinear", "solve",
                "--experiment", str(exp)) == 2
     assert not list(tmp_path.glob("*.csv"))

@@ -1,9 +1,16 @@
 import math
+import os
+import sys
+import threading
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fracdecay.errors import InadmissibleParams, NonConvergence
+from fracdecay import specfun
+from fracdecay.errors import FracdecayError, InadmissibleParams, NonConvergence
 from fracdecay.specfun import (KilbasSaigoParams, SeriesAccuracy,
                                kilbas_saigo, kilbas_saigo_bounds,
                                kilbas_saigo_with_info, mittag_leffler,
@@ -54,6 +61,7 @@ def test_m_one_reduction():
     assert kilbas_saigo(p, -1.0, TIGHT) == pytest.approx(KS_M1, rel=1e-12)
     scale, a, b = reduce_to_mittag_leffler(p)
     assert scale == pytest.approx(math.gamma(1.5))
+    # mittag_leffler sums this same series, so this leg checks the scale
     assert kilbas_saigo(p, -1.0, TIGHT) == pytest.approx(
         scale * mittag_leffler(a, b, -1.0, TIGHT), rel=1e-10)
     assert reduce_to_mittag_leffler(
@@ -125,3 +133,78 @@ def test_mittag_leffler_asymptotic_branch():
     # |z| beyond the series range uses the algebraic tail expansion
     assert mittag_leffler(0.5, 1.0, -50.0) == pytest.approx(
         ML_HALF_50, rel=1e-6)
+
+
+def _ml_reference(alpha, beta, z):
+    """sum_k z^k / Gamma(alpha k + beta) summed by mpmath, with alpha k + beta
+    formed in mpf and the precision sized from the largest term."""
+    a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+    if z == 0.0:
+        return float(mpmath.rgamma(b))
+    logs = []
+    while True:
+        k = len(logs)
+        logs.append(k * math.log(abs(z)) - math.lgamma(alpha * k + beta))
+        if k > 2 and logs[-1] < -40.0 * math.log(10.0) and logs[-1] < logs[-2]:
+            break
+    with mpmath.workdps(int(max(logs) / math.log(10.0)) + 30):
+        zz = mpmath.mpf(z)
+        return float(mpmath.fsum(zz ** k * mpmath.rgamma(a * k + b)
+                                 for k in range(len(logs))))
+
+
+@settings(deadline=None, database=None)
+@given(alpha=st.floats(0.3, 1.0), beta=st.floats(0.5, 2.0),
+       z=st.floats(-9.5, 3.0))
+@example(alpha=0.4, beta=1.0, z=-5.0)
+@example(alpha=0.6, beta=1.0, z=-9.0)
+def test_mittag_leffler_matches_mpmath_series(alpha, beta, z):
+    # a value is either accurate or refused; the series stops at
+    # abs_tol = 1e-12, so near a zero of E (beta < alpha) the error is
+    # absolute
+    try:
+        v = mittag_leffler(alpha, beta, z)
+    except NonConvergence:
+        return
+    assert v == pytest.approx(_ml_reference(alpha, beta, z), rel=1e-9,
+                              abs=1e-11)
+
+
+def test_big_float_sums_are_thread_safe(monkeypatch):
+    # mid-band arguments from an empty ratio cache: both functions build
+    # their Gamma-ratio tables and sum in big floats while threads switch
+    # every microsecond
+    p = KilbasSaigoParams(alpha=0.45, m=2.0, l=0.5)
+    calls = [(mittag_leffler, 0.45, 1.0, -z) for z in (3.0, 4.5, 6.0, 7.5)]
+    calls += [(kilbas_saigo, p, -z) for z in (3.0, 5.0)]
+
+    def values():
+        out = []
+        for f, *args in calls:
+            try:
+                out.append(f(*args))
+            except FracdecayError as exc:
+                out.append(type(exc).__name__)
+        return out
+
+    monkeypatch.setattr(specfun, "_RATIO_CACHE", {})
+    serial = values()
+    monkeypatch.setattr(specfun, "_RATIO_CACHE", {})
+    results = {}
+
+    def work(i):
+        results[i] = values()
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True)
+               for i in range((os.cpu_count() or 1) + 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results.get(i) for i in range(len(threads))] == [serial] * len(threads)
