@@ -14,6 +14,7 @@ t = 0, which the graded mesh t_j = T (j/N)^r compensates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.horizon <= 0:
             raise DomainError("horizon must be positive")
+        if not isinstance(self.steps, numbers.Integral):
+            raise DomainError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise DomainError("need at least one step")
         if self.grading < 1.0:

@@ -12,10 +12,17 @@ decay, so the summation switches between three regimes
 
   * plain double-precision summation while cancellation is mild,
   * big-float summation (working precision sized from the peak term) while
-    the truncation budget still covers the tail,
+    the truncation budget still covers the tail: mpmath computes the Gamma
+    ratios at that precision, and the sum runs on Python integers scaled
+    by 2**F, with F the precision in bits plus guard bits, rounded once
+    to a double at the end,
   * beyond that, a bound-respecting surrogate: the geometric mean of the
     two-sided bounds, rescaled so it matches the last trustworthy series
     value.  Values from this branch are flagged as approximate.
+
+The log-ratio partial sums that plan the summation, the double-precision
+ratios and the fixed-point ratios are tables built on first use, once per
+parameter set (and precision), and extended when more terms are needed.
 
 Mittag-Leffler is the m = 1 case, E_{a,b}(z) = E_{a,1,(b-1)/a}(z) / G(b),
 summed by the same engine; for z < -10 it uses its algebraic tail instead.
@@ -28,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath
+from mpmath.libmp import to_fixed
 from scipy.special import gammaln, gammasgn, rgamma
 
 from .errors import DomainError, InadmissibleParams, NonConvergence
@@ -126,6 +134,57 @@ def _sign_ratio(alpha, m, l, j):
     return gammasgn(x) * gammasgn(y)
 
 
+# every table of the series engine, see _table
+_RATIO_CACHE: dict = {}
+# fractional bits of the fixed-point sum beyond the ratio table's precision
+_GUARD_BITS = 64
+
+
+def _table(key, n, extend):
+    """The table cached under key, grown to at least n entries.
+
+    extend(table, n) returns table followed by its entries up to n.  The
+    longer table is built in full before it replaces the cached one, so a
+    concurrent reader only ever sees a complete table.  Keys hold the exact
+    parameters: a value never depends on which nearby parameters were
+    evaluated first.
+    """
+    table = _RATIO_CACHE.get(key, ())
+    if len(table) < n:
+        table = extend(table, n)
+        _RATIO_CACHE[key] = table
+    return table
+
+
+def _log_prefix(alpha, m, l, table, n):
+    """Partial sums log|c_k| = sum_{j<k} log|ratio_j|, k = 1..n, summed
+    in order from the first term on."""
+    logc = table[-1] if table else 0.0
+    more = []
+    for j in range(len(table), n):
+        logc += _log_ratio(alpha, m, l, j)
+        more.append(float(logc))
+    return table + tuple(more)
+
+
+def _double_ratios(alpha, m, l, table, n):
+    """Signed Gamma-ratio factors in double precision."""
+    return table + tuple(
+        float(_sign_ratio(alpha, m, l, j) * math.exp(_log_ratio(alpha, m, l, j)))
+        for j in range(len(table), n))
+
+
+def _fixed_ratios(alpha, m, l, ctx, frac, table, n):
+    """Gamma-ratio factors at ctx's precision, each converted exactly (for
+    |ratio| >= 2**-_GUARD_BITS) to an integer with frac fractional bits."""
+    a, mm, ll = ctx.mpf(alpha), ctx.mpf(m), ctx.mpf(l)
+    more = []
+    for j in range(len(table), n):
+        x = a * (j * mm + ll) + 1
+        more.append(to_fixed((ctx.gamma(x) / ctx.gamma(x + a))._mpf_, frac))
+    return table + tuple(more)
+
+
 def _plan(alpha, m, l, z, acc):
     """Log-space walk of the term magnitudes.
 
@@ -135,11 +194,11 @@ def _plan(alpha, m, l, z, acc):
     """
     logz = math.log(abs(z))
     floor = math.log(max(acc.abs_tol, 1e-280)) - 2.0 * _LN10
-    logc = 0.0
+    logcs = _table(("plan", alpha, m, l), acc.max_terms,
+                   functools.partial(_log_prefix, alpha, m, l))
     peak = 0.0
     quiet = 0
-    for k in range(1, acc.max_terms + 1):
-        logc += _log_ratio(alpha, m, l, k - 1)
+    for k, logc in zip(range(1, acc.max_terms + 1), logcs):
         lt = logc + k * logz
         if lt > peak:
             peak = lt
@@ -154,27 +213,51 @@ def _plan(alpha, m, l, z, acc):
     )
 
 
-def _sum(ratios, zz, one, acc):
-    """1 + sum_k prod_{j<k} ratios[j] zz, summed in the number type of one.
+def _sum(ratios, z, acc):
+    """1 + sum_k prod_{j<k} ratios[j] z in double precision.
 
     The ratios run to _plan's term count, whose stop is stricter than the
     one here, so running out of them means the sum did not settle.
     """
-    s = term = one
+    s = term = 1.0
     quiet = 0
     for r in ratios:
-        term *= r * zz
+        term *= r * z
         s += term
         if abs(term) < acc.abs_tol + acc.rel_tol * abs(s):
             quiet += 1
             if quiet >= 3:
-                return float(s)
+                return s
         else:
             quiet = 0
     raise NonConvergence("series summation exhausted the planned terms")
 
 
-_RATIO_CACHE: dict = {}
+def _fixed_sum(ratios, frac, z, acc):
+    """_sum on integers that carry frac fractional bits.
+
+    z and the tolerances convert exactly, and each step truncates by less
+    than 2**-frac, far below the rounding of the ratio table itself; the
+    final division rounds correctly to a double.
+    """
+    num, den = float(z).as_integer_ratio()
+    shift = frac + den.bit_length() - 1
+    an, ad = acc.abs_tol.as_integer_ratio()
+    rn, rd = acc.rel_tol.as_integer_ratio()
+    # |term| < abs_tol + rel_tol |s|, both sides times ad rd 2**frac
+    t_mul, limit, s_mul = ad * rd, an * rd << frac, rn * ad
+    s = term = 1 << frac
+    quiet = 0
+    for r in ratios:
+        term = term * r * num >> shift
+        s += term
+        if abs(term) * t_mul < limit + s_mul * abs(s):
+            quiet += 1
+            if quiet >= 3:
+                return s / (1 << frac)
+        else:
+            quiet = 0
+    raise NonConvergence("series summation exhausted the planned terms")
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,36 +269,21 @@ def _mp_context(dps):
     return ctx
 
 
-def _mp_ratios(alpha, m, l, ctx, n):
-    """Cached Gamma-ratio factors of the first n terms at ctx's precision.
-
-    A longer table is built in full before it replaces the cached one, so a
-    concurrent reader only ever sees a complete table.
-    """
-    key = (round(alpha, 14), round(m, 14), round(l, 14), ctx.dps)
-    ratios = _RATIO_CACHE.get(key, ())
-    if len(ratios) < n:
-        a, mm, ll = ctx.mpf(alpha), ctx.mpf(m), ctx.mpf(l)
-        more = []
-        for j in range(len(ratios), n):
-            x = a * (j * mm + ll) + 1
-            more.append(ctx.gamma(x) / ctx.gamma(x + a))
-        ratios = ratios + tuple(more)
-        _RATIO_CACHE[key] = ratios
-    return ratios[:n]
-
-
 def _series_value(alpha, m, l, z, acc):
     n, peak = _plan(alpha, m, l, z, acc)
     digits = peak / _LN10
     # positive z: all-positive terms, no cancellation, only overflow to guard
     if digits <= (280.0 if z > 0.0 else _DOUBLE_DIGITS):
-        ratios = (_sign_ratio(alpha, m, l, j) * math.exp(_log_ratio(alpha, m, l, j))
-                  for j in range(n))
-        return _sum(ratios, z, 1.0, acc)
+        ratios = _table(("double", alpha, m, l), n,
+                        functools.partial(_double_ratios, alpha, m, l))
+        return _sum(ratios[:n], z, acc)
     # digits rounded up to a multiple of 10 so nearby arguments share a table
-    ctx = _mp_context(-(-(int(digits) + 25) // 10) * 10)
-    return _sum(_mp_ratios(alpha, m, l, ctx, n), ctx.mpf(z), ctx.mpf(1), acc)
+    dps = -(-(int(digits) + 25) // 10) * 10
+    ctx = _mp_context(dps)
+    frac = ctx.prec + _GUARD_BITS
+    ratios = _table(("fixed", alpha, m, l, dps), n,
+                    functools.partial(_fixed_ratios, alpha, m, l, ctx, frac))
+    return _fixed_sum(ratios[:n], frac, z, acc)
 
 
 # }}}
@@ -239,9 +307,7 @@ def _seam(params, acc):
     the evaluated function stays continuous and inside the two-sided
     bounds for every z < -z0.
     """
-    key = (round(params.alpha, 14), round(params.m, 14), round(params.l, 14),
-           acc.abs_tol, acc.rel_tol, acc.max_terms)
-    hit = _SEAM_CACHE.get(key)
+    hit = _SEAM_CACHE.get((params, acc))
     if hit is not None:
         return hit
     alpha, m, l = params.alpha, params.m, params.l
@@ -266,7 +332,7 @@ def _seam(params, acc):
         except NonConvergence:
             hi = mid
     scale = _series_value(alpha, m, l, -z0, acc) / _geomean(alpha, m, z0)
-    _SEAM_CACHE[key] = (z0, scale)
+    _SEAM_CACHE[params, acc] = (z0, scale)
     return z0, scale
 
 

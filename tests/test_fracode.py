@@ -26,6 +26,9 @@ def test_grid_validation():
         TimeGrid(-1.0, 16)
     with pytest.raises(DomainError):
         TimeGrid(1.0, 16, 0.5)
+    # a fractional step count would put the last node past the horizon
+    with pytest.raises(DomainError):
+        TimeGrid(10.0, 2.5)
     with pytest.raises(DomainError):
         CaputoL1Operator(TimeGrid(1.0, 16), 1.5)
 

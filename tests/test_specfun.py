@@ -170,6 +170,101 @@ def test_mittag_leffler_matches_mpmath_series(alpha, beta, z):
                               abs=1e-11)
 
 
+def _reference_series(alpha, m, l, z, acc):
+    """The series value computed without specfun's tables: the plan walks
+    freshly computed log-ratios, and the sum is a double loop or an mpf loop
+    over an mpmath Gamma-ratio table at the planned precision."""
+    logz = math.log(abs(z))
+    floor = math.log(max(acc.abs_tol, 1e-280)) - 2.0 * math.log(10.0)
+    logc = peak = 0.0
+    quiet = 0
+    for k in range(1, acc.max_terms + 1):
+        logc += specfun._log_ratio(alpha, m, l, k - 1)
+        lt = logc + k * logz
+        peak = max(peak, lt)
+        quiet = quiet + 1 if lt < floor else 0
+        if quiet >= 3:
+            break
+    else:
+        raise NonConvergence(
+            f"series needs more than {acc.max_terms} terms at z = {z:g}")
+    digits = peak / math.log(10.0)
+    if digits <= specfun._DOUBLE_DIGITS:
+        ratios = [specfun._sign_ratio(alpha, m, l, j)
+                  * math.exp(specfun._log_ratio(alpha, m, l, j))
+                  for j in range(k)]
+        s = term = 1.0
+    else:
+        ctx = mpmath.MPContext()
+        ctx.dps = -(-(int(digits) + 25) // 10) * 10
+        a, mm, ll = ctx.mpf(alpha), ctx.mpf(m), ctx.mpf(l)
+        xs = [a * (j * mm + ll) + 1 for j in range(k)]
+        ratios = [ctx.gamma(x) / ctx.gamma(x + a) for x in xs]
+        s = term = ctx.mpf(1)
+        z = ctx.mpf(z)
+    quiet = 0
+    for r in ratios:
+        term *= r * z
+        s += term
+        quiet = quiet + 1 if abs(term) < acc.abs_tol + acc.rel_tol * abs(s) else 0
+        if quiet >= 3:
+            return float(s)
+    raise NonConvergence("series summation exhausted the planned terms")
+
+
+def _outcome(f, *args):
+    """The bits of a float result, or the message of NonConvergence."""
+    try:
+        return float(f(*args)).hex()
+    except NonConvergence as exc:
+        return str(exc)
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(alpha=st.floats(0.3, 0.95), beta=st.floats(0.05, 1.0),
+       z=st.floats(-10.0, -1.0))
+@example(alpha=0.5, beta=0.5, z=-5.0)
+@example(alpha=0.5, beta=0.5, z=-10.0)
+def test_kilbas_saigo_bits_match_reference_sum(alpha, beta, z):
+    # decay family (alpha, 1 + beta/alpha, beta/alpha); values past the
+    # seam are the surrogate anchored at the series value there
+    m = 1.0 + beta / alpha
+    p = KilbasSaigoParams(alpha, m, m - 1.0)
+    acc = specfun.DEFAULT_ACCURACY
+    try:
+        approx = kilbas_saigo_with_info(p, z)[1]
+    except NonConvergence:
+        approx = False
+    if approx:
+        z0 = specfun._seam(p, acc)[0]
+        expected = (_reference_series(alpha, m, p.l, -z0, acc)
+                    / specfun._geomean(alpha, m, z0)
+                    * specfun._geomean(alpha, m, -z)).hex()
+    else:
+        expected = _outcome(_reference_series, alpha, m, p.l, z, acc)
+    assert _outcome(kilbas_saigo, p, z) == expected
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(alpha=st.floats(0.3, 0.95), z=st.floats(-10.0, -1.0))
+@example(alpha=0.45, z=-6.0)
+def test_mittag_leffler_bits_match_reference_sum(alpha, z):
+    acc = specfun.DEFAULT_ACCURACY
+    assert (_outcome(mittag_leffler, alpha, 1.0, z)
+            == _outcome(_reference_series, alpha, 1.0, 0.0, z, acc))
+
+
+def test_longer_budget_extends_cached_tables(monkeypatch):
+    # E_{0.5}(-9.9) needs 590 terms: the 512-term tables cached by the
+    # default budget must grow, not be reused short
+    monkeypatch.setattr(specfun, "_RATIO_CACHE", {})
+    with pytest.raises(NonConvergence):
+        mittag_leffler(0.5, 1.0, -9.9)
+    acc = SeriesAccuracy(max_terms=1024)
+    assert (_outcome(mittag_leffler, 0.5, 1.0, -9.9, acc)
+            == _outcome(_reference_series, 0.5, 1.0, 0.0, -9.9, acc))
+
+
 def test_big_float_sums_are_thread_safe(monkeypatch):
     # mid-band arguments from an empty ratio cache: both functions build
     # their Gamma-ratio tables and sum in big floats while threads switch
