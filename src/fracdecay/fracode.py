@@ -73,7 +73,7 @@ class CaputoL1Operator:
         self.alpha = alpha
         self._t = grid.nodes
         self._h = np.diff(self._t)
-        self._g2 = math.gamma(2.0 - alpha)
+        self._g2h = math.gamma(2.0 - alpha) * self._h
 
     def weights_row(self, n: int) -> np.ndarray:
         """Weights a_{n,1..n} of the convolution at node t_n."""
@@ -86,7 +86,8 @@ class CaputoL1Operator:
         e = 1.0 - self.alpha
         d = t[n] - t[:n + 1]
         d[-1] = 0.0  # guard roundoff at k = n
-        return (d[:-1] ** e - d[1:] ** e) / (self._g2 * self._h[:n])
+        p = d ** e
+        return (p[:-1] - p[1:]) / self._g2h[:n]
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Discrete D^a of per-node samples; values at t_1..t_N.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from . import decayfit, spectral
 from .errors import (DomainError, NonFiniteState, PositivityLoss,
@@ -136,9 +136,9 @@ def _half_gradient(u, h):
 
 def _half_coefficient(spec: OperatorSpec, u, h):
     """Diffusion coefficient d at half-points for flux-form operators."""
-    Du = _half_gradient(u, h)
     if spec.kind == "laplace":
-        return np.ones_like(Du)
+        return np.ones(len(u) + 1)
+    Du = _half_gradient(u, h)
     if spec.kind == "p_laplace":
         return np.abs(Du) ** (spec.p - 2.0) if spec.p >= 2.0 \
             else (np.abs(Du) + 1e-14) ** (spec.p - 2.0)
@@ -191,7 +191,8 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
 
     Per step: the Caputo history is explicit, the operator is applied
     implicitly with coefficients frozen at the previous iterate, and each
-    extra sweep refreezes at the new iterate (up to 10).
+    extra sweep refreezes at the new iterate (up to 10).  Raises
+    NonFiniteState when a step system, a state or an energy is not finite.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("solver requires alpha in (0, 1)")
@@ -202,9 +203,11 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
     if u0.shape != (M,):
         raise DomainError(f"u0 must have shape ({M},)")
     h = grid.h
+    h2 = h ** 2
     t = tgrid.nodes
     op = CaputoL1Operator(tgrid, alpha)
-    porous_guard = spec.kind == "porous_medium" and np.all(u0 >= 0.0)
+    porous_guard = spec.kind == "porous_medium" and (u0 >= 0.0).all()
+    ab = np.zeros((3, M))  # band rows: super-, main and subdiagonal
 
     def solve(n, ann, hist, prev):
         an = float(coeff.value(t[n]))
@@ -212,47 +215,55 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
         unew = ustar
         res_prev = math.inf
         for sweep in range(sweeps):
-            diag_src = np.zeros(M)
-            rhs_src = np.zeros(M)
+            # A zero source term is the scalar 0.0.  Adding it (or, below,
+            # subtracting from it) rounds and signs zeros exactly as an
+            # all-zero array would, so no such array is built.
+            diag_src = rhs_src = 0.0
             if source.kind == "fisher_kpp":
-                diag_src += 1.0
-                rhs_src += ustar ** 2
+                diag_src = 1.0
+                rhs_src = ustar ** 2
             elif source.kind == "power_absorption":
                 if source.mu >= 0:
-                    diag_src += source.mu * np.abs(ustar) ** source.p
+                    diag_src = source.mu * np.abs(ustar) ** source.p
                 else:
-                    rhs_src -= source.mu * np.abs(ustar) ** source.p * ustar
+                    rhs_src = 0.0 - source.mu * np.abs(ustar) ** source.p * ustar
 
             rhs = ann * prev - hist + rhs_src
-            ab = np.zeros((3, M))
             if spec.kind == "degenerate":
                 fv = spec.f_eval(ustar)
-                ab[0, 1:] = -an * fv[:-1] / h ** 2
-                ab[1] = ann + diag_src + 2.0 * an * fv / h ** 2
-                ab[2, :-1] = -an * fv[1:] / h ** 2
+                ab[0, 1:] = -an * fv[:-1] / h2
+                ab[1] = ann + diag_src + 2.0 * an * fv / h2
+                ab[2, :-1] = -an * fv[1:] / h2
             else:
                 d = _half_coefficient(spec, ustar, h)
-                ab[0, 1:] = -an * d[1:-1] / h ** 2
-                ab[1] = ann + diag_src + an * (d[:-1] + d[1:]) / h ** 2
-                ab[2, :-1] = -an * d[1:-1] / h ** 2
-            unew = solve_banded((1, 1), ab, rhs)
-            if not np.all(np.isfinite(unew)):
+                ab[0, 1:] = ab[2, :-1] = -an * d[1:-1] / h2
+                ab[1] = ann + diag_src + an * (d[:-1] + d[1:]) / h2
+            if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+                raise NonFiniteState(f"non-finite step system at t = {t[n]:g}")
+            # LAPACK gtsv on the band rows; it overwrites ab and rhs
+            unew, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs,
+                               1, 1, 1, 1)[3:]
+            if info != 0:
+                raise NonFiniteState(f"singular step matrix at t = {t[n]:g}")
+            if not np.isfinite(unew).all():
                 raise NonFiniteState(f"non-finite state at t = {t[n]:g}")
-            res = float(np.max(np.abs(unew - ustar)))
+            res = float(np.abs(unew - ustar).max())
             ustar = unew
-            if res < 1e-10 * max(1.0, float(np.max(np.abs(unew)))):
+            if res < 1e-10 * max(1.0, float(np.abs(unew).max())):
                 break
             if res > 10.0 * res_prev:
                 raise StepDivergence(
                     f"fixed-point residual grows at t = {t[n]:g}"
                 )
             res_prev = res
-        if porous_guard and float(np.min(unew)) < -1e-10:
+        if porous_guard and float(unew.min()) < -1e-10:
             raise PositivityLoss(f"negative state at t = {t[n]:g}")
         return unew
 
     U = op.march(u0, solve)
     energies = np.sqrt(h * np.sum(U ** 2, axis=1))
+    if not np.isfinite(energies).all():
+        raise NonFiniteState("energy overflows on a finite field")
     return FieldTrace(times=t, energies=energies, grid=grid, tgrid=tgrid,
                       alpha=alpha, fields=U if keep_fields else None)
 

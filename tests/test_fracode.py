@@ -47,6 +47,21 @@ def test_weights_positive_and_increasing():
         assert np.all(np.diff(row) >= 0)  # key to the energy inequality
 
 
+@settings(max_examples=50, deadline=None, database=None)
+@given(alpha=st.floats(0.05, 0.99), horizon=st.floats(0.1, 100.0),
+       steps=st.integers(1, 300), grading=st.floats(1.0, 4.0))
+def test_weights_row_is_the_two_power_formula(alpha, horizon, steps, grading):
+    grid = TimeGrid(horizon, steps, grading)
+    op = CaputoL1Operator(grid, alpha)
+    t, h = grid.nodes, np.diff(grid.nodes)
+    e, g2 = 1.0 - alpha, math.gamma(2.0 - alpha)
+    for n in range(1, steps + 1):
+        d = t[n] - t[:n + 1]
+        d[-1] = 0.0
+        expected = (d[:-1] ** e - d[1:] ** e) / (g2 * h[:n])
+        assert np.array_equal(op.weights_row(n), expected)
+
+
 def test_derivative_of_constant_is_zero():
     grid = TimeGrid(2.0, 40, 2.0)
     op = CaputoL1Operator(grid, 0.6)
