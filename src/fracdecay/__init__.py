@@ -12,8 +12,7 @@ from .nonlinear import (OperatorSpec, SourceSpec, SpatialGrid1D,
                         check_energy_inequality, predict_exponent,
                         run_scenario, solve_nonlinear)
 from .specfun import (KilbasSaigoParams, SeriesAccuracy, kilbas_saigo,
-                      kilbas_saigo_bounds, mittag_leffler,
-                      reduce_to_mittag_leffler)
+                      kilbas_saigo_bounds, mittag_leffler)
 from .spectral import (CoefficientSpec, EigenSystem, interval_eigensystem,
                        log_times, project_initial_data,
                        rectangle_eigensystem, solve_heat_general,

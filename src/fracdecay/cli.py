@@ -19,8 +19,7 @@ from . import decayfit, io, reproduce, spectral
 from .errors import (AmbiguousFit, ConfigError, DegenerateTrace, DomainError,
                      FracdecayError, InadmissibleParams, NonConvergence,
                      NonFiniteState, NonpositivePrimitive, PositivityLoss,
-                     QuadratureUnderResolved, RootSolveFailure, StepDivergence,
-                     UnsupportedRegime)
+                     QuadratureUnderResolved, RootSolveFailure, StepDivergence)
 from .fracode import (SemilinearParams, TimeGrid, default_grading,
                       lemma_envelope, solve_semilinear)
 from .nonlinear import (OperatorSpec, SourceSpec, SpatialGrid1D,
@@ -34,8 +33,7 @@ EXIT_VIOLATION = 3
 EXIT_DEGENERATE = 4
 EXIT_NUMERIC = 5
 
-_CONFIG_ERRORS = (ConfigError, DomainError, InadmissibleParams,
-                  UnsupportedRegime)
+_CONFIG_ERRORS = (ConfigError, DomainError, InadmissibleParams)
 _NUMERIC_ERRORS = (NonConvergence, RootSolveFailure, NonFiniteState,
                    StepDivergence, QuadratureUnderResolved,
                    NonpositivePrimitive)

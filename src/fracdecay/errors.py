@@ -45,10 +45,6 @@ class PositivityLoss(FracdecayError):
     """A run that requires a nonnegative state produced negative values."""
 
 
-class UnsupportedRegime(FracdecayError):
-    """Operator parameters fall outside the supported exponent regime."""
-
-
 class DegenerateTrace(FracdecayError):
     """An energy trace has too little usable signal to fit."""
 

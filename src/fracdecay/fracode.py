@@ -162,19 +162,6 @@ class SemilinearParams:
             raise DomainError("nu, delta, H0 must all be positive")
 
 
-@dataclass(frozen=True)
-class SandwichEnvelope:
-    """Constants of the two-sided profile c/(1+t^((a+b)/delta))."""
-
-    c1: float
-    c2: float
-    exponent: float
-
-    def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 >= self.c1 and self.exponent > 0):
-            raise DomainError("need 0 < c1 <= c2 and a positive exponent")
-
-
 def solve_semilinear(params: SemilinearParams, alpha: float,
                      grid: TimeGrid) -> ScalarTrace:
     """Implicit L1 step with a per-step monotone scalar root solve.
@@ -247,20 +234,6 @@ def lemma_envelope(params: SemilinearParams, alpha: float):
     sub.switch_time = t1
     sup.switch_time = t2
     return sub, sup
-
-
-def envelope_constants(trace: ScalarTrace, params: SemilinearParams,
-                       alpha: float) -> SandwichEnvelope:
-    """Tightest constants of the profile c/(1 + t^((a+b)/delta)).
-
-    c1 = min H (1+t^s), c2 = max H (1+t^s) over the nodes past the first.
-    """
-    exp = (alpha + params.beta) / params.delta
-    t = trace.times[1:]
-    v = trace.values[1:]
-    q = v * (1.0 + t ** exp)
-    return SandwichEnvelope(c1=float(np.min(q)), c2=float(np.max(q)),
-                            exponent=exp)
 
 
 def lemma_sandwich_factors(trace: ScalarTrace, params: SemilinearParams,

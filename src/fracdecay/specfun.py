@@ -380,15 +380,3 @@ def mittag_leffler(alpha: float, beta: float, z: float,
     return (_series_value(alpha, 1.0, (beta - 1.0) / alpha, z, acc)
             / math.gamma(beta))
 
-
-def reduce_to_mittag_leffler(params: KilbasSaigoParams):
-    """m = 1 reduction: E_{a,1,l}(z) = Gamma(a l + 1) E_{a, a l + 1}(z).
-
-    Returns (scale, alpha, beta) or None when the reduction does not apply.
-    """
-    if abs(params.m - 1.0) > 1e-9:
-        return None
-    beta = params.alpha * params.l + 1.0
-    if beta <= 0.0:
-        return None
-    return math.gamma(beta), params.alpha, beta

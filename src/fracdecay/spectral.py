@@ -39,21 +39,6 @@ def _panel_rule(a, b, panels):
     return nodes, weights
 
 
-def _interval_modes(L, bc, K):
-    """(lambdas, frequencies, amplitudes, offsets) of 1-D eigenpairs."""
-    if bc == "dirichlet":
-        k = np.arange(1, K + 1)
-        lam = (k * math.pi / L) ** 2
-        return lam, k * math.pi / L, np.full(K, math.sqrt(2.0 / L)), "sin"
-    if bc == "neumann":
-        k = np.arange(K)
-        lam = (k * math.pi / L) ** 2
-        amp = np.full(K, math.sqrt(2.0 / L))
-        amp[0] = math.sqrt(1.0 / L)
-        return lam, k * math.pi / L, amp, "cos"
-    raise DomainError(f"unknown boundary kind {bc!r}")
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Explicit Laplacian eigenpairs with a quadrature for inner products."""
@@ -65,29 +50,21 @@ class EigenSystem:
     basis: np.ndarray        # (K, nq) eigenfunctions at quadrature nodes
     quad_nodes: np.ndarray   # (nq,) or (nq, 2)
     quad_weights: np.ndarray # (nq,)
-    _pairs: tuple = ()       # (kx, ky) per mode on rectangles
 
     @property
     def dim(self) -> int:
         return len(self.geometry)
 
-    def eval_modes(self, x, y=None) -> np.ndarray:
-        """Eigenfunction values at arbitrary points, shape (K, npts)."""
-        if self.dim == 1:
-            lam, freq, amp, kind = _interval_modes(self.geometry[0], self.bc, self.K)
-            x = np.asarray(x, dtype=float)
-            f = np.sin if kind == "sin" else np.cos
-            return amp[:, None] * f(freq[:, None] * x[None, :])
-        Lx, Ly = self.geometry
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.empty((self.K, len(x)))
-        for i, (kx, ky) in enumerate(self._pairs):
-            out[i] = (_mode_1d(Lx, self.bc, kx, x) * _mode_1d(Ly, self.bc, ky, y))
-        return out
+
+def _first_mode(bc):
+    """Lowest 1-D mode index: sine modes start at 1, cosine modes at 0."""
+    if bc not in ("dirichlet", "neumann"):
+        raise DomainError(f"unknown boundary kind {bc!r}")
+    return 1 if bc == "dirichlet" else 0
 
 
 def _mode_1d(L, bc, k, x):
+    """k-th normalized eigenfunction of -d^2/dx^2 on (0, L) at x."""
     if bc == "dirichlet":
         return math.sqrt(2.0 / L) * np.sin(k * math.pi / L * x)
     if k == 0:
@@ -98,10 +75,11 @@ def _mode_1d(L, bc, k, x):
 def interval_eigensystem(L: float, bc: str = "dirichlet", K: int = 64) -> EigenSystem:
     if L <= 0 or K < 1:
         raise DomainError("need L > 0 and K >= 1")
-    lam, freq, amp, kind = _interval_modes(L, bc, K)
+    start = _first_mode(bc)
+    ks = np.arange(start, start + K)
+    lam = (ks * math.pi / L) ** 2
     nodes, weights = _panel_rule(0.0, L, 4 * K + 1)
-    f = np.sin if kind == "sin" else np.cos
-    basis = amp[:, None] * f(freq[:, None] * nodes[None, :])
+    basis = np.array([_mode_1d(L, bc, k, nodes) for k in ks])
     return EigenSystem(geometry=(L,), bc=bc, K=K, lambdas=lam, basis=basis,
                        quad_nodes=nodes, quad_weights=weights)
 
@@ -110,8 +88,8 @@ def rectangle_eigensystem(Lx: float, Ly: float, bc: str = "dirichlet",
                           K: int = 64) -> EigenSystem:
     if Lx <= 0 or Ly <= 0 or K < 1:
         raise DomainError("need positive side lengths and K >= 1")
+    start = _first_mode(bc)
     kmax = int(math.ceil(math.sqrt(2.0 * K))) + 2
-    start = 1 if bc == "dirichlet" else 0
     pairs = [(i, j) for i in range(start, kmax + 1) for j in range(start, kmax + 1)]
     lam = [(i * math.pi / Lx) ** 2 + (j * math.pi / Ly) ** 2 for i, j in pairs]
     order = np.argsort(lam, kind="stable")[:K]
@@ -130,7 +108,7 @@ def rectangle_eigensystem(Lx: float, Ly: float, bc: str = "dirichlet",
         basis[i] = (_mode_1d(Lx, bc, kx, nx)[:, None]
                     * _mode_1d(Ly, bc, ky, ny)[None, :]).ravel()
     return EigenSystem(geometry=(Lx, Ly), bc=bc, K=K, lambdas=lam, basis=basis,
-                       quad_nodes=nodes, quad_weights=weights, _pairs=pairs)
+                       quad_nodes=nodes, quad_weights=weights)
 
 
 def log_times(T: float, t_min: float = 1e-2, per_decade: int = 40) -> np.ndarray:
@@ -170,11 +148,6 @@ class SolutionTrace:
     @property
     def energies(self) -> np.ndarray:
         return np.sqrt(np.sum(self.coeffs ** 2, axis=0))
-
-    def reconstruct(self, sys: EigenSystem, x, y=None) -> np.ndarray:
-        """Spatial snapshots, shape (Nt, npts)."""
-        modes = sys.eval_modes(x, y)
-        return self.coeffs.T @ modes
 
 
 def _mode_decay_factor(alpha, beta, lam, times, acc):

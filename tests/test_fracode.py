@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from fracdecay.errors import DomainError, GridMismatch
 from fracdecay.fracode import (CaputoL1Operator, SemilinearParams, TimeGrid,
-                               default_grading, envelope_constants,
-                               lemma_envelope, lemma_sandwich_factors,
-                               solve_linear_mode, solve_semilinear)
+                               default_grading, lemma_envelope,
+                               lemma_sandwich_factors, solve_linear_mode,
+                               solve_semilinear)
 
 
 def test_grid_nodes_monotone_and_graded():
@@ -185,14 +185,6 @@ def test_solution_between_scaled_envelopes():
     t, v = tr.times[1:], tr.values[1:]
     assert np.all(c * sub(t) <= v * (1 + 1e-12))
     assert np.all(v <= C * sup(t) * (1 + 1e-12))
-
-
-def test_envelope_constants_finite_positive():
-    params = SemilinearParams(nu=1.0, delta=2.0, beta=0.5, H0=1.0)
-    tr = solve_semilinear(params, 0.5, TimeGrid(100.0, 512, 3.0))
-    env = envelope_constants(tr, params, 0.5)
-    assert 0.0 < env.c1 <= env.c2 < math.inf
-    assert env.exponent == pytest.approx(0.5)
 
 
 def test_semilinear_param_validation():

@@ -13,8 +13,7 @@ from fracdecay import specfun
 from fracdecay.errors import FracdecayError, InadmissibleParams, NonConvergence
 from fracdecay.specfun import (KilbasSaigoParams, SeriesAccuracy,
                                kilbas_saigo, kilbas_saigo_bounds,
-                               kilbas_saigo_with_info, mittag_leffler,
-                               reduce_to_mittag_leffler)
+                               kilbas_saigo_with_info, mittag_leffler)
 
 TIGHT = SeriesAccuracy(abs_tol=1e-15, rel_tol=1e-14, max_terms=512)
 
@@ -59,13 +58,10 @@ def test_exponential_identity_alpha_one():
 def test_m_one_reduction():
     p = KilbasSaigoParams(alpha=0.5, m=1.0, l=1.0)
     assert kilbas_saigo(p, -1.0, TIGHT) == pytest.approx(KS_M1, rel=1e-12)
-    scale, a, b = reduce_to_mittag_leffler(p)
-    assert scale == pytest.approx(math.gamma(1.5))
-    # mittag_leffler sums this same series, so this leg checks the scale
+    # E_{a,1,l}(z) = Gamma(a l + 1) E_{a, a l + 1}(z); mittag_leffler sums
+    # this same series, so this leg checks the scale
     assert kilbas_saigo(p, -1.0, TIGHT) == pytest.approx(
-        scale * mittag_leffler(a, b, -1.0, TIGHT), rel=1e-10)
-    assert reduce_to_mittag_leffler(
-        KilbasSaigoParams(alpha=0.5, m=2.0, l=1.0)) is None
+        math.gamma(1.5) * mittag_leffler(0.5, 1.5, -1.0, TIGHT), rel=1e-10)
 
 
 def test_two_sided_bounds_contain_series():
@@ -104,6 +100,21 @@ def test_small_alpha_deep_argument_stays_in_bounds():
         v, _ = kilbas_saigo_with_info(p, -z)
         b = kilbas_saigo_bounds(0.1, 2.0, z)
         assert b.lower <= v <= b.upper
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(alpha=st.floats(0.1, 0.95), m=st.floats(1.05, 5.0),
+       z1=st.floats(0.0, 60.0), z2=st.floats(0.0, 60.0))
+def test_decay_family_within_bounds_and_monotone(alpha, m, z1, z2):
+    # on the decay family l = m - 1, E(-z) lies between the two-sided
+    # bounds and does not increase in z, also past the surrogate seam
+    p = KilbasSaigoParams(alpha=alpha, m=m, l=m - 1.0)
+    lo, hi = sorted((z1, z2))
+    v_lo, v_hi = kilbas_saigo(p, -lo), kilbas_saigo(p, -hi)
+    for z, v in ((lo, v_lo), (hi, v_hi)):
+        b = kilbas_saigo_bounds(alpha, m, z)
+        assert b.lower - 1e-9 <= v <= b.upper + 1e-9
+    assert v_hi <= v_lo + 1e-12
 
 
 def test_gamma_pole_rejected():

@@ -107,17 +107,6 @@ def test_neumann_mean_zero_data_decays():
     assert rep.verdict == "sandwich_ok"
 
 
-def test_reconstruction_matches_coefficients():
-    sys_ = interval_eigensystem(math.pi, "dirichlet", 4)
-    times = np.array([0.0, 1.0])
-    u0k = np.array([1.0, 0.5, 0.0, 0.0])
-    tr = solve_subdiffusion(sys_, 0.5, 0.5, u0k, times)
-    x = np.linspace(0.1, 3.0, 7)
-    vals = tr.reconstruct(sys_, x)  # (Nt, npts)
-    modes = sys_.eval_modes(x)
-    assert np.allclose(vals[0], u0k @ modes)
-
-
 def test_heat_coefficient_catalog_primitives():
     t = np.array([0.5, 1.0, 4.0])
     c = CoefficientSpec(kind="power", kappa=2.0, beta=1.0)
@@ -144,6 +133,13 @@ def test_hypothesis_flag():
     assert not CoefficientSpec(kind="power", kappa=1.0,
                                beta=-0.75).satisfies_hypothesis(0.5)
     assert not CoefficientSpec(kind="logarithmic").satisfies_hypothesis(0.5)
+
+
+def test_unknown_boundary_kind_rejected():
+    with pytest.raises(DomainError):
+        interval_eigensystem(1.0, "robin", 4)
+    with pytest.raises(DomainError):
+        rectangle_eigensystem(1.0, 1.0, "robin", 4)
 
 
 def test_solver_input_validation():
