@@ -45,18 +45,21 @@ def _out_path(args, name):
     return os.path.join(d, name)
 
 
-def _parse_geometry(text):
-    if ":" in text:
-        shape, dims = text.split(":", 1)
-        sizes = [float(v) for v in dims.split(",")]
-    else:
-        shape, sizes = text, [math.pi]
-    if shape == "interval" and len(sizes) == 1:
-        return ("interval", sizes)
-    if shape == "rectangle" and len(sizes) == 2:
-        return ("rectangle", sizes)
-    raise ConfigError(f"geometry must be interval[:L] or rectangle:Lx,Ly, "
-                      f"got {text!r}")
+def _floats(text):
+    return tuple(float(v) for v in text.split(","))
+
+
+def _geometry(text):
+    """``--geometry`` value: interval[:L] or rectangle:Lx,Ly."""
+    shape, colon, dims = text.partition(":")
+    try:
+        sizes = _floats(dims) if colon else (math.pi,)
+    except ValueError:
+        sizes = ()
+    if (shape, len(sizes)) in (("interval", 1), ("rectangle", 2)):
+        return shape, sizes
+    raise argparse.ArgumentTypeError(
+        f"geometry must be interval[:L] or rectangle:Lx,Ly, got {text!r}")
 
 
 def _spectral_u0(sys_, text, seed):
@@ -114,7 +117,7 @@ def _cmd_ode_solve(args):
 
 
 def _build_eigensystem(args):
-    shape, sizes = _parse_geometry(args.geometry)
+    shape, sizes = args.geometry
     if shape == "interval":
         return spectral.interval_eigensystem(sizes[0], args.bc, args.modes)
     return spectral.rectangle_eigensystem(sizes[0], sizes[1], args.bc,
@@ -147,24 +150,12 @@ def _cmd_subdiffusion_solve(args):
     return EXIT_OK if rep.verdict != "violated" else EXIT_VIOLATION
 
 
-def _heat_coefficient(args):
-    kind = args.coeff_kind
-    if kind == "power":
-        return CoefficientSpec(kind="power", kappa=args.kappa, beta=args.beta)
-    if kind == "exponential_rate":
-        return CoefficientSpec(kind="exponential_rate", beta=args.beta)
-    if kind == "logarithmic":
-        return CoefficientSpec(kind="logarithmic", p=args.p)
-    if kind == "polynomial":
-        poly = tuple(float(v) for v in args.poly.split(","))
-        return CoefficientSpec(kind="polynomial", q=args.q, poly=poly)
-    raise ConfigError(f"unknown coefficient kind {kind!r}")
-
-
 def _cmd_heat_solve(args):
     sys_ = _build_eigensystem(args)
     u0k = _spectral_u0(sys_, args.u0, args.seed)
-    coeff = _heat_coefficient(args)
+    # each coefficient kind reads only its own fields
+    coeff = CoefficientSpec(kind=args.coeff_kind, kappa=args.kappa,
+                            beta=args.beta, p=args.p, q=args.q, poly=args.poly)
     times = spectral.log_times(args.T)
     tr = spectral.solve_heat_general(sys_, coeff, u0k, times)
     # modal domination: |u01| e^{-lam1 A} <= E <= ||u0|| e^{-lam1 A}
@@ -209,16 +200,15 @@ def _run_nonlinear_once(args, suffix="", created=None):
     u0 = _nonlinear_u0(grid, args.u0_preset, args.seed)
     tr = solve_nonlinear(spec, src, args.alpha, coeff, u0, grid, tgrid,
                          sweeps=2, keep_fields=False)
-    pe = predict_exponent(spec, args.alpha, args.beta)
-    rep = decayfit.check_envelope(tr.times, tr.energies, pe.value,
-                                  two_sided=False, predicted_tag=pe.tag)
-    bound = rep.envelope_upper / (1.0 + tr.times ** pe.value)
+    s = predict_exponent(spec, args.alpha, args.beta)
+    rep = decayfit.check_envelope(tr.times, tr.energies, s, two_sided=False)
+    bound = rep.envelope_upper / (1.0 + tr.times ** s)
     path = _out_path(args, f"nonlinear_trace{suffix}.csv")
     io.write_csv_atomic(path, ["t", "E", "predicted_bound"],
                         [tr.times, tr.energies, bound])
     if created is not None:
         created.append(path)
-    print(f"{path}\t{rep.verdict}\texponent={pe.value:g}")
+    print(f"{path}\t{rep.verdict}\texponent={s:g}")
     return EXIT_OK if rep.verdict != "violated" else EXIT_VIOLATION
 
 
@@ -360,7 +350,7 @@ def build_parser():
     def spectral_flags(s):
         s.add_argument("--alpha", type=float, required=True)
         s.add_argument("--beta", type=float, default=0.0)
-        s.add_argument("--geometry", default="interval")
+        s.add_argument("--geometry", type=_geometry, default="interval")
         s.add_argument("--bc", choices=("dirichlet", "neumann"),
                        default="dirichlet")
         s.add_argument("--modes", type=int, default=16)
@@ -382,7 +372,7 @@ def build_parser():
     s.add_argument("--kappa", type=float, default=1.0)
     s.add_argument("--p", type=float, default=1.0)
     s.add_argument("--q", type=float, default=1.0)
-    s.add_argument("--poly", default="1,1")
+    s.add_argument("--poly", type=_floats, default="1,1")
     s.set_defaults(func=_cmd_heat_solve)
 
     g = top.add_parser("nonlinear").add_subparsers(dest="verb", required=True)

@@ -2,8 +2,9 @@
 
 Decay estimates bound energies by profiles of the shape c/(1+t^s),
 c exp(-lam t^b), c (1+log(1+t))^(-p) or a plateau; this module fits those
-families in log space and checks two-sided envelopes.  Verdicts are data,
-not exceptions: a failed sandwich comes back as ``violated``.
+families in log space and checks two-sided envelopes.  ``check_envelope``
+is the one place a decay verdict is decided; verdicts are data, not
+exceptions: a failed sandwich comes back as ``violated``.
 """
 
 from __future__ import annotations
@@ -26,15 +27,12 @@ class DecayReport:
     """Outcome of an envelope/fit check on one energy trace."""
 
     verdict: str                      # sandwich_ok | upper_only_ok | violated | degenerate
-    fitted_exponent: float = math.nan
-    intercept: float = math.nan
+    fitted_exponent: float = math.nan  # power-law tail fit of E itself
     window: tuple = (math.nan, math.nan)
     residual_rms: float = math.nan
     predicted_exponent: float = math.nan
-    predicted_tag: str = ""
     envelope_lower: float = math.nan  # tightest m with m/(1+t^s) <= E
     envelope_upper: float = math.nan  # tightest M with E <= M/(1+t^s)
-    upper_ok: bool = False
     notes: str = ""
 
 
@@ -62,17 +60,24 @@ def _tail_window(t, decades, drop_final=0.05):
     return mask, (t_lo, t_hi)
 
 
-def fit_power_tail(times, energies, window: float = 2.0):
-    """Least-squares line on (log t, log E) over the last `window` decades.
-
-    Returns (s, intercept, residual_rms) with s the negated slope.
-    """
+def _tail(times, energies, window):
+    """Usable samples and the mask of the fit window; DegenerateTrace when
+    either holds fewer than 10 points."""
     t, e = _valid(times, energies)
     if len(t) < 10:
         raise DegenerateTrace("fewer than 10 usable (t, E) points")
     mask, _ = _tail_window(t, window)
     if mask.sum() < 10:
         raise DegenerateTrace("fewer than 10 points in the fit window")
+    return t, e, mask
+
+
+def fit_power_tail(times, energies, window: float = 2.0):
+    """Least-squares line on (log t, log E) over the last `window` decades.
+
+    Returns (s, intercept, residual_rms) with s the negated slope.
+    """
+    t, e, mask = _tail(times, energies, window)
     slope, intercept, resid = _line_fit(np.log(t[mask]), np.log(e[mask]))
     return -float(slope), float(intercept), resid
 
@@ -90,12 +95,7 @@ def fit_model_select(times, energies, window: float = 2.0) -> FitModel:
     transform; logarithmic c (1+log(1+t))^(-p); plateau (constant level).
     Raises AmbiguousFit when the two best residuals differ by under 5%.
     """
-    t, e = _valid(times, energies)
-    if len(t) < 10:
-        raise DegenerateTrace("fewer than 10 usable (t, E) points")
-    mask, _ = _tail_window(t, window)
-    if mask.sum() < 10:
-        raise DegenerateTrace("fewer than 10 points in the fit window")
+    t, e, mask = _tail(times, energies, window)
     tt, ee = t[mask], e[mask]
     le = np.log(ee)
     candidates = []
@@ -139,13 +139,16 @@ def fit_model_select(times, energies, window: float = 2.0) -> FitModel:
 
 
 def check_envelope(times, energies, exponent: float, two_sided: bool = True,
-                   predicted_tag: str = "", fit_window: float = 2.0) -> DecayReport:
+                   fit_window: float = 2.0) -> DecayReport:
     """Tightest constants of E(t) against the profile 1/(1 + t^exponent).
 
     M = max E (1+t^s) and m = min E (1+t^s); the constants only count as
     finite when they stabilize, i.e. the tail slope of E(1+t^s) in log-log
-    stays within +-SLOPE_TOL.  A drifting lower constant turns a requested
-    sandwich into ``violated`` (with upper_ok still reported).
+    stays within +-SLOPE_TOL.  A drifting upper constant is ``violated``
+    either way; a drifting lower one only when a sandwich is requested.
+    The same window gives ``fitted_exponent`` and ``residual_rms``, the
+    values of ``fit_power_tail``; with fewer than 10 points in it they are
+    NaN and the slope counts as 0.
     """
     if exponent <= 0:
         raise DegenerateTrace("envelope exponent must be positive")
@@ -153,35 +156,24 @@ def check_envelope(times, energies, exponent: float, two_sided: bool = True,
     if len(t) < 10:
         return DecayReport(verdict="degenerate", notes="zero or underflowed trace")
     q = e * (1.0 + t ** exponent)
-    m = float(np.min(q))
-    M = float(np.max(q))
     mask, window = _tail_window(t, fit_window)
+    slope, s_fit, resid = 0.0, math.nan, math.nan
     if mask.sum() >= 10:
-        slope, _, _ = _line_fit(np.log(t[mask]), np.log(q[mask]))
-    else:
-        slope = 0.0
-    upper_ok = slope <= SLOPE_TOL
-    lower_ok = slope >= -SLOPE_TOL
-
-    try:
-        s_fit, c_fit, resid = fit_power_tail(t, e, fit_window)
-    except DegenerateTrace:
-        s_fit = c_fit = resid = math.nan
-
+        lt = np.log(t[mask])
+        slope = _line_fit(lt, np.log(q[mask]))[0]
+        neg_s, _, resid = _line_fit(lt, np.log(e[mask]))
+        s_fit = -float(neg_s)
     if two_sided:
-        verdict = "sandwich_ok" if (upper_ok and lower_ok) else "violated"
+        verdict = "sandwich_ok" if abs(slope) <= SLOPE_TOL else "violated"
     else:
-        verdict = "upper_only_ok" if upper_ok else "violated"
+        verdict = "upper_only_ok" if slope <= SLOPE_TOL else "violated"
     return DecayReport(
         verdict=verdict,
         fitted_exponent=s_fit,
-        intercept=c_fit,
         window=window,
         residual_rms=resid,
         predicted_exponent=exponent,
-        predicted_tag=predicted_tag,
-        envelope_lower=m,
-        envelope_upper=M,
-        upper_ok=upper_ok,
+        envelope_lower=float(np.min(q)),
+        envelope_upper=float(np.max(q)),
         notes=f"tail slope of E(1+t^s): {slope:+.3f}",
     )

@@ -37,8 +37,8 @@ class TimeGrid:
     grading: float = 1.0
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise DomainError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise DomainError("horizon must be positive and finite")
         if not isinstance(self.steps, numbers.Integral):
             raise DomainError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:

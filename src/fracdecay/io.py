@@ -52,8 +52,11 @@ def write_csv_atomic(path: str, header, columns) -> str:
 
 def read_csv_columns(path: str):
     """Read a header CSV back as (names, dict of float arrays)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     if not lines:
         raise ConfigError(f"{path}: empty file")
     names = lines[0].split(",")
@@ -76,7 +79,7 @@ def _coerce(raw: str):
         return [_coerce(part) for part in raw.split(",") if part.strip()]
     try:
         v = float(raw)
-        return int(v) if v == int(v) and "." not in raw and "e" not in raw.lower() else v
+        return int(v) if v.is_integer() and "." not in raw and "e" not in raw.lower() else v
     except ValueError:
         return raw
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from . import decayfit, spectral
+from . import decayfit
 from .errors import (DomainError, NonFiniteState, PositivityLoss,
                      StepDivergence)
 from .fracode import CaputoL1Operator, TimeGrid, default_grading
@@ -88,31 +88,20 @@ class SourceSpec:
             raise DomainError("absorption exponent must satisfy p > 1")
 
 
-@dataclass(frozen=True)
-class PredictedExponent:
-    value: float
-    tag: str
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise DomainError("predicted exponent must be positive")
-
-
-def predict_exponent(spec: OperatorSpec, alpha: float, beta: float) -> PredictedExponent:
-    """Theoretical upper-bound decay exponent for the given operator."""
-    ab = alpha + beta
-    if spec.kind == "laplace":
-        return PredictedExponent(ab, "alpha+beta")
+def predict_exponent(spec: OperatorSpec, alpha: float, beta: float) -> float:
+    """Theoretical upper-bound decay exponent s for the given operator."""
+    s = alpha + beta
     if spec.kind == "p_laplace":
-        return PredictedExponent(ab / (spec.p - 1.0), "(alpha+beta)/(p-1)")
-    if spec.kind == "porous_medium":
-        return PredictedExponent(ab / (spec.m + 1.0), "(alpha+beta)/(m+1)")
-    if spec.kind == "degenerate":
-        return PredictedExponent(ab / (spec.q + 1.0), "(alpha+beta)/(q+1)")
-    if spec.kind == "mean_curvature":
-        return PredictedExponent(ab, "alpha+beta")
-    return PredictedExponent(ab / (spec.gamma + spec.p - 1.0),
-                             "(alpha+beta)/(gamma+p-1)")
+        s /= spec.p - 1.0
+    elif spec.kind == "porous_medium":
+        s /= spec.m + 1.0
+    elif spec.kind == "degenerate":
+        s /= spec.q + 1.0
+    elif spec.kind == "kirchhoff":
+        s /= spec.gamma + spec.p - 1.0
+    if not s > 0:
+        raise DomainError("predicted exponent must be positive")
+    return s
 
 
 def _half_gradient(u, h):
@@ -267,16 +256,6 @@ def run_scenario(name: str, *, alpha: float = 0.5, beta: float = 0.5,
                  points: int = 127, steps: int = 1024, horizon: float = 100.0,
                  sweeps: int = 2):
     """Run one of the application presets; returns (trace, report)."""
-    if name == "toy_model":
-        sys1 = spectral.interval_eigensystem(L, "dirichlet", 1)
-        times = spectral.log_times(1e4, t_min=1.0)
-        tr = spectral.solve_subdiffusion(sys1, alpha, beta, np.array([1.0]), times)
-        s = alpha + beta
-        tau = sys1.lambdas[0] ** (1.0 / s) * times
-        rep = decayfit.check_envelope(tau, tr.energies, s, two_sided=True,
-                                      predicted_tag="alpha+beta")
-        return tr, rep
-
     grid = SpatialGrid1D(L, points)
     tgrid = TimeGrid(horizon, steps, default_grading(alpha))
     coeff = CoefficientSpec(kind="power", kappa=1.0, beta=beta)
@@ -293,8 +272,7 @@ def run_scenario(name: str, *, alpha: float = 0.5, beta: float = 0.5,
             raise PositivityLoss("Fisher-KPP order interval (0, 1] violated")
         s = alpha + beta
         tau = lam1 ** (1.0 / s) * tr.times
-        rep = decayfit.check_envelope(tau, tr.energies, s, two_sided=False,
-                                      predicted_tag="alpha+beta")
+        rep = decayfit.check_envelope(tau, tr.energies, s, two_sided=False)
         return tr, rep
     if name == "semilinear_pme":
         if mu < 0 or m < 0 or p <= 1:
@@ -306,8 +284,7 @@ def run_scenario(name: str, *, alpha: float = 0.5, beta: float = 0.5,
         tr = solve_nonlinear(spec, src, alpha, coeff, u0, grid, tgrid,
                              sweeps=sweeps)
         s = (alpha + beta) / (m + 1.0)
-        rep = decayfit.check_envelope(tr.times, tr.energies, s, two_sided=False,
-                                      predicted_tag="(alpha+beta)/(m+1)")
+        rep = decayfit.check_envelope(tr.times, tr.energies, s, two_sided=False)
         return tr, rep
     raise DomainError(f"unknown scenario {name!r}")
 

@@ -106,7 +106,7 @@ def check_dirichlet_sandwich() -> CriterionResult:
     rep = spectral.verify_dirichlet_sandwich(tr, sysD, 0.5, 0.5)
     ok = (rep.verdict == "sandwich_ok"
           and abs(rep.fitted_exponent - 1.0) <= 0.05)
-    s = 1.0
+    s = rep.predicted_exponent
     lo = rep.envelope_lower / (1.0 + sysD.lambdas[0] * times ** s)
     hi = rep.envelope_upper / (1.0 + sysD.lambdas[0] * times ** s)
     art = {"dirichlet_energy": (["t", "E", "bound_lower", "bound_upper"],
@@ -215,22 +215,21 @@ def run_operator_suite(points=255, steps=2048):
         spec = OperatorSpec(**kw)
         u0 = 0.5 * np.sin(grid.x)
         tr = solve_nonlinear(spec, src, 0.5, coeff, u0, grid, tgrid, sweeps=2)
-        pe = predict_exponent(spec, 0.5, 0.5)
-        rep = decayfit.check_envelope(tr.times, tr.energies, pe.value,
-                                      two_sided=False, predicted_tag=pe.tag)
-        out.append((name, tr, pe, rep))
+        s = predict_exponent(spec, 0.5, 0.5)
+        rep = decayfit.check_envelope(tr.times, tr.energies, s, two_sided=False)
+        out.append((name, tr, s, rep))
     return out
 
 
 def check_exponent_conformance(suite) -> CriterionResult:
     notes, ok = [], True
     art = {}
-    for name, tr, pe, rep in suite:
+    for name, tr, s, rep in suite:
         good = rep.verdict == "upper_only_ok" and \
             math.isfinite(rep.envelope_upper) and rep.envelope_upper > 0
         ok &= good
-        notes.append(f"{name}: {rep.verdict} (s = {pe.value:g})")
-        bound = rep.envelope_upper / (1.0 + tr.times ** pe.value)
+        notes.append(f"{name}: {rep.verdict} (s = {s:g})")
+        bound = rep.envelope_upper / (1.0 + tr.times ** s)
         art[f"nonlinear_{name}"] = (["t", "E", "predicted_bound"],
                                     [tr.times, tr.energies, bound])
     return _res("nonlinear-decay-exponents", ok, "; ".join(notes), art)

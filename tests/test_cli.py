@@ -173,6 +173,25 @@ def test_decay_fit_model_selection(tmp_path, capsys):
     assert "power" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["subdiffusion", "solve", "--alpha", "0.5", "--geometry", "interval:abc"],
+    ["heat", "solve", "--alpha", "1", "--coeff-kind", "polynomial",
+     "--poly", "1,abc"],
+    ["heat", "solve", "--alpha", "1", "--coeff-kind", "polynomial",
+     "--poly", "0,1"],
+    ["decay", "fit", "--input", "missing.csv"],
+    ["nonlinear", "solve", "--experiment", "inf.ini"],
+    ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "2",
+     "--nu", "1", "--h0", "1", "--T", "nan"],
+], ids=["bad-geometry", "bad-poly", "zero-poly-constant", "missing-input",
+        "sweep-T-inf", "T-nan"])
+def test_bad_input_is_config_error(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inf.ini").write_text("[scan]\nT = inf\npoints = 15\n")
+    assert run("--out", str(tmp_path), *argv) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unknown_flag_is_config_error():
     assert run("specfun", "eval", "--frobnicate", "1") == 2
 

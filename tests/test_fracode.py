@@ -29,6 +29,10 @@ def test_grid_validation():
     # a fractional step count would put the last node past the horizon
     with pytest.raises(DomainError):
         TimeGrid(10.0, 2.5)
+    # a non-finite horizon has no nodes to step to
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            TimeGrid(horizon, 16)
     with pytest.raises(DomainError):
         CaputoL1Operator(TimeGrid(1.0, 16), 1.5)
 

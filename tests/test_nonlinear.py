@@ -82,8 +82,8 @@ def test_predict_exponent_table():
         ("kirchhoff", {"gamma": 1.0, "p": 2.0}, 0.5),
     ]
     for kind, kw, expect in vals:
-        pe = predict_exponent(OperatorSpec(kind=kind, **kw), 0.5, 0.5)
-        assert pe.value == pytest.approx(expect)
+        s = predict_exponent(OperatorSpec(kind=kind, **kw), 0.5, 0.5)
+        assert isinstance(s, float) and s == pytest.approx(expect)
 
 
 def test_linear_diffusion_tracks_modal_solution():
@@ -162,12 +162,6 @@ def test_pme_scenario_upper_envelope():
                            horizon=200.0)
     assert rep.verdict == "upper_only_ok"
     assert rep.predicted_exponent == pytest.approx(0.5)
-
-
-def test_toy_model_scenario_sandwich():
-    tr, rep = run_scenario("toy_model", alpha=0.3, beta=0.4)
-    assert rep.verdict == "sandwich_ok"
-    assert rep.fitted_exponent == pytest.approx(0.7, abs=0.05)
 
 
 def test_shape_mismatch_rejected():

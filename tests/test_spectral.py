@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fracdecay.errors import DomainError, QuadratureUnderResolved
+from fracdecay.decayfit import fit_power_tail
+from fracdecay.errors import (DomainError, NonpositivePrimitive,
+                              QuadratureUnderResolved)
 from fracdecay.specfun import KilbasSaigoParams, kilbas_saigo
 from fracdecay.spectral import (CoefficientSpec, interval_eigensystem,
                                 log_times, project_initial_data,
@@ -86,6 +88,35 @@ def test_dirichlet_sandwich_verdict():
     assert 0.0 < rep.envelope_lower <= rep.envelope_upper < math.inf
 
 
+def test_single_mode_sandwich():
+    sys1 = interval_eigensystem(math.pi, "dirichlet", 1)
+    tr = solve_subdiffusion(sys1, 0.3, 0.4, np.array([1.0]),
+                            log_times(1e4, t_min=1.0))
+    rep = verify_dirichlet_sandwich(tr, sys1, 0.3, 0.4)
+    assert rep.verdict == "sandwich_ok"
+    assert rep.fitted_exponent == pytest.approx(0.7, abs=0.05)
+
+
+def test_report_fit_is_the_power_tail_fit():
+    # the envelope check fits E on the same lam_1-scaled window as
+    # fit_power_tail does on its own
+    sys_ = interval_eigensystem(2.0, "dirichlet", 4)
+    tr = solve_subdiffusion(sys_, 0.6, 0.2, np.array([1.0, 0.0, 0.3, 0.0]),
+                            log_times(1e3))
+    rep = verify_dirichlet_sandwich(tr, sys_, 0.6, 0.2)
+    tau = sys_.lambdas[0] ** (1.0 / 0.8) * tr.times
+    s, _, resid = fit_power_tail(tau, tr.energies)
+    assert (rep.fitted_exponent, rep.residual_rms) == (s, resid)
+
+
+def test_log_times_validation():
+    assert np.all(np.diff(log_times(10.0, t_min=0.1)) > 0)
+    for T, t_min in ((math.inf, 1e-2), (math.nan, 1e-2), (1e-3, 1e-2),
+                     (1.0, 0.0)):
+        with pytest.raises(DomainError):
+            log_times(T, t_min)
+
+
 def test_neumann_constant_data_plateaus():
     sys_ = interval_eigensystem(math.pi, "neumann", 8)
     times = log_times(1e3)
@@ -117,6 +148,13 @@ def test_heat_coefficient_catalog_primitives():
     assert np.allclose(c.primitive(t), 3.0 * np.log(1.0 + np.log1p(t)))
     c = CoefficientSpec(kind="polynomial", q=2.0, poly=(1.0, 1.0))
     assert np.allclose(c.primitive(t), 2.0 * np.log(1.0 + t))
+
+
+def test_nan_primitive_rejected():
+    sys_ = interval_eigensystem(math.pi, "dirichlet", 2)
+    coeff = CoefficientSpec(kind="power", kappa=math.nan)
+    with pytest.raises(NonpositivePrimitive):
+        solve_heat_general(sys_, coeff, np.ones(2), log_times(10.0))
 
 
 def test_tabulated_primitive_matches_trapezoid():
