@@ -10,7 +10,7 @@ from .fracode import (CaputoL1Operator, SemilinearParams, TimeGrid,
                       solve_semilinear)
 from .nonlinear import (OperatorSpec, SourceSpec, SpatialGrid1D,
                         check_energy_inequality, predict_exponent,
-                        run_scenario, solve_nonlinear)
+                        solve_nonlinear)
 from .specfun import (KilbasSaigoParams, SeriesAccuracy, kilbas_saigo,
                       kilbas_saigo_bounds, mittag_leffler)
 from .spectral import (CoefficientSpec, EigenSystem, interval_eigensystem,

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import AmbiguousFit, DegenerateTrace
 
 ENERGY_FLOOR = 1e-14
+TAIL_DROP = 0.05  # share of the final samples left out of fit windows
 # relative tail slope of E(t)(1+t^s) below which the envelope constant is
 # considered stabilized
 SLOPE_TOL = 0.1
@@ -50,10 +51,10 @@ def _valid(t, e):
     return t[mask], e[mask]
 
 
-def _tail_window(t, decades, drop_final=0.05):
+def _tail_window(t, decades):
     """Indices of the last `decades` decades of t, final 5% excluded."""
     n = len(t)
-    keep = max(10, int(math.floor(n * (1.0 - drop_final))))
+    keep = max(10, int(math.floor(n * (1.0 - TAIL_DROP))))
     t_hi = t[keep - 1]
     t_lo = t_hi / 10.0 ** decades
     mask = (t >= t_lo) & (t <= t_hi)

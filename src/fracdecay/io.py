@@ -57,6 +57,8 @@ def read_csv_columns(path: str):
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file") from exc
     if not lines:
         raise ConfigError(f"{path}: empty file")
     names = lines[0].split(",")

@@ -18,10 +18,9 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from . import decayfit
 from .errors import (DomainError, NonFiniteState, PositivityLoss,
                      StepDivergence)
-from .fracode import CaputoL1Operator, TimeGrid, default_grading
+from .fracode import CaputoL1Operator, TimeGrid
 from .spectral import CoefficientSpec
 
 
@@ -246,47 +245,3 @@ def check_energy_inequality(trace: FieldTrace, alpha: float) -> np.ndarray:
     rhs = h * np.sum(trace.fields[1:] * dU, axis=1)
     return rhs - lhs
 
-
-# {{{ preset scenarios
-
-
-def run_scenario(name: str, *, alpha: float = 0.5, beta: float = 0.5,
-                 mu: float = 1.0, m: float = 1.0, p: float = 2.0,
-                 amplitude: float = 0.5, L: float = math.pi,
-                 points: int = 127, steps: int = 1024, horizon: float = 100.0,
-                 sweeps: int = 2):
-    """Run one of the application presets; returns (trace, report)."""
-    grid = SpatialGrid1D(L, points)
-    tgrid = TimeGrid(horizon, steps, default_grading(alpha))
-    coeff = CoefficientSpec(kind="power", kappa=1.0, beta=beta)
-    lam1 = (math.pi / L) ** 2
-    if name == "fisher_kpp":
-        if not 0.0 < amplitude <= 1.0:
-            raise DomainError("Fisher-KPP needs 0 < u0 <= 1")
-        u0 = amplitude * np.sin(math.pi * grid.x / L)
-        spec = OperatorSpec(kind="laplace")
-        src = SourceSpec(kind="fisher_kpp")
-        tr = solve_nonlinear(spec, src, alpha, coeff, u0, grid, tgrid,
-                             sweeps=sweeps)
-        if np.min(tr.fields[1:]) <= 0.0 or np.max(tr.fields) > 1.0 + 1e-10:
-            raise PositivityLoss("Fisher-KPP order interval (0, 1] violated")
-        s = alpha + beta
-        tau = lam1 ** (1.0 / s) * tr.times
-        rep = decayfit.check_envelope(tau, tr.energies, s, two_sided=False)
-        return tr, rep
-    if name == "semilinear_pme":
-        if mu < 0 or m < 0 or p <= 1:
-            raise DomainError("need mu >= 0, m >= 0, p > 1")
-        u0 = amplitude * np.sin(math.pi * grid.x / L)
-        # Lap |w|^m w in flux form has mobility (m+1)|w|^m
-        spec = OperatorSpec(kind="porous_medium", m=m, c0=m + 1.0)
-        src = SourceSpec(kind="power_absorption", mu=mu, p=p)
-        tr = solve_nonlinear(spec, src, alpha, coeff, u0, grid, tgrid,
-                             sweeps=sweeps)
-        s = (alpha + beta) / (m + 1.0)
-        rep = decayfit.check_envelope(tr.times, tr.energies, s, two_sided=False)
-        return tr, rep
-    raise DomainError(f"unknown scenario {name!r}")
-
-
-# }}}

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import decayfit, io, nonlinear, spectral
+from . import decayfit, io, spectral
 from .fracode import (SemilinearParams, TimeGrid, lemma_envelope,
                       lemma_sandwich_factors, solve_linear_mode,
                       solve_semilinear)
 from .nonlinear import (OperatorSpec, SourceSpec, SpatialGrid1D,
                         check_energy_inequality, predict_exponent,
-                        run_scenario, solve_nonlinear)
+                        solve_nonlinear)
 from .specfun import (KilbasSaigoParams, SeriesAccuracy, kilbas_saigo,
                       kilbas_saigo_bounds)
 from .spectral import CoefficientSpec
@@ -204,21 +204,24 @@ _OPERATOR_CASES = (
 )
 
 
+def _fd_run(spec, source, u0, points, steps, horizon, sweeps=2,
+            keep_fields=True):
+    """Run at alpha = beta = 0.5 on (0, pi); returns (trace, s, report)."""
+    grid = SpatialGrid1D(math.pi, points)
+    coeff = CoefficientSpec(kind="power", kappa=1.0, beta=0.5)
+    tr = solve_nonlinear(spec, source, 0.5, coeff, u0(grid), grid,
+                         TimeGrid(horizon, steps, 3.0), sweeps=sweeps,
+                         keep_fields=keep_fields)
+    s = predict_exponent(spec, 0.5, 0.5)
+    return tr, s, decayfit.check_envelope(tr.times, tr.energies, s,
+                                          two_sided=False)
+
+
 def run_operator_suite(points=255, steps=2048):
     """Shared runs behind the exponent-conformance and energy checks."""
-    grid = SpatialGrid1D(math.pi, points)
-    tgrid = TimeGrid(100.0, steps, 3.0)
-    coeff = CoefficientSpec(kind="power", kappa=1.0, beta=0.5)
-    src = SourceSpec(kind="none")
-    out = []
-    for name, kw in _OPERATOR_CASES:
-        spec = OperatorSpec(**kw)
-        u0 = 0.5 * np.sin(grid.x)
-        tr = solve_nonlinear(spec, src, 0.5, coeff, u0, grid, tgrid, sweeps=2)
-        s = predict_exponent(spec, 0.5, 0.5)
-        rep = decayfit.check_envelope(tr.times, tr.energies, s, two_sided=False)
-        out.append((name, tr, s, rep))
-    return out
+    return [(name, *_fd_run(OperatorSpec(**kw), SourceSpec(),
+                            lambda g: 0.5 * np.sin(g.x), points, steps, 100.0))
+            for name, kw in _OPERATOR_CASES]
 
 
 def check_exponent_conformance(suite) -> CriterionResult:
@@ -244,13 +247,17 @@ def check_energy_inequality_suite(suite) -> CriterionResult:
 
 
 def check_application_scenarios() -> CriterionResult:
-    trf, repf = run_scenario("fisher_kpp", alpha=0.5, beta=0.5,
-                             points=127, steps=1024, horizon=100.0)
+    """Fisher-KPP stays in (0, 1]; both applications keep the upper envelope."""
+    def u0(g):
+        return 0.5 * np.sin(math.pi * g.x / g.length)
+    trf, _, repf = _fd_run(OperatorSpec(kind="laplace"),
+                           SourceSpec(kind="fisher_kpp"), u0, 127, 1024, 100.0)
     order_ok = float(np.min(trf.fields[1:])) > 0.0 \
         and float(np.max(trf.fields)) <= 1.0 + 1e-12
-    trp, repp = run_scenario("semilinear_pme", alpha=0.5, beta=0.5,
-                             mu=1.0, m=1.0, p=2.0,
-                             points=127, steps=1024, horizon=1000.0)
+    # Lap |w|^m w in flux form has mobility (m+1)|w|^m, here m = 1
+    trp, _, repp = _fd_run(OperatorSpec(kind="porous_medium", m=1.0, c0=2.0),
+                           SourceSpec(kind="power_absorption", mu=1.0, p=2.0),
+                           u0, 127, 1024, 1000.0)
     ok = order_ok and repf.verdict == "upper_only_ok" \
         and repp.verdict == "upper_only_ok"
     art = {"fisher_kpp": (["t", "E"], [trf.times, trf.energies]),
@@ -262,12 +269,9 @@ def check_application_scenarios() -> CriterionResult:
 
 def check_cross_solver(points=511, steps=4096) -> CriterionResult:
     """Finite-difference Laplace run against the spectral closed form."""
-    grid = SpatialGrid1D(math.pi, points)
-    tgrid = TimeGrid(10.0, steps, 3.0)
-    coeff = CoefficientSpec(kind="power", kappa=1.0, beta=0.5)
-    u0 = np.sin(grid.x)
-    tr = solve_nonlinear(OperatorSpec(kind="laplace"), SourceSpec(), 0.5,
-                         coeff, u0, grid, tgrid, sweeps=1, keep_fields=False)
+    tr, _, _ = _fd_run(OperatorSpec(kind="laplace"), SourceSpec(),
+                       lambda g: np.sin(g.x), points, steps, 10.0, sweeps=1,
+                       keep_fields=False)
     p = KilbasSaigoParams(alpha=0.5, m=2.0, l=1.0)
     mask = tr.times >= 0.1
     amp = math.sqrt(math.pi / 2.0)

@@ -24,6 +24,7 @@ from .errors import DomainError, NonpositivePrimitive, QuadratureUnderResolved
 from .specfun import KilbasSaigoParams, kilbas_saigo
 
 _GL_POINTS = 6
+PER_DECADE = 40  # log_times samples per decade
 # |u00| above which Neumann data has a conserved level E(t) -> |u00|
 NEUMANN_PLATEAU_TOL = 1e-12
 
@@ -111,12 +112,12 @@ def rectangle_eigensystem(Lx: float, Ly: float, bc: str = "dirichlet",
                        quad_nodes=nodes, quad_weights=weights)
 
 
-def log_times(T: float, t_min: float = 1e-2, per_decade: int = 40) -> np.ndarray:
+def log_times(T: float, t_min: float = 1e-2) -> np.ndarray:
     """Log-spaced sample times for decay reports."""
     if not 0.0 < t_min < T < math.inf:
         raise DomainError("sample times need 0 < t_min < T < inf")
     decades = math.log10(T / t_min)
-    n = max(2, int(round(decades * per_decade)) + 1)
+    n = max(2, int(round(decades * PER_DECADE)) + 1)
     return np.logspace(math.log10(t_min), math.log10(T), n)
 
 
@@ -231,9 +232,9 @@ class CoefficientSpec:
             return self.p * np.log(1.0 + np.log1p(t))
         if self.kind == "polynomial":
             a = np.asarray(self.poly)
-            if not a[0] > 0:
-                raise DomainError("polynomial coefficient needs a_0 > 0")
             P = sum(a[j] * t ** j for j in range(len(a)))
+            if not (a[0] > 0 and (P > 0).all()):
+                raise DomainError("polynomial needs a_0 > 0 and P(t) > 0")
             return self.q * np.log(P / a[0])
         if self.kind == "tabulated":
             # exact integral of the linear interpolant on a refined grid

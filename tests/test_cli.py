@@ -179,15 +179,19 @@ def test_decay_fit_model_selection(tmp_path, capsys):
      "--poly", "1,abc"],
     ["heat", "solve", "--alpha", "1", "--coeff-kind", "polynomial",
      "--poly", "0,1"],
+    ["heat", "solve", "--alpha", "1", "--coeff-kind", "polynomial",
+     "--poly", "1,-1"],
     ["decay", "fit", "--input", "missing.csv"],
+    ["decay", "fit", "--input", "binary.dat"],
     ["nonlinear", "solve", "--experiment", "inf.ini"],
     ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "2",
      "--nu", "1", "--h0", "1", "--T", "nan"],
-], ids=["bad-geometry", "bad-poly", "zero-poly-constant", "missing-input",
-        "sweep-T-inf", "T-nan"])
+], ids=["bad-geometry", "bad-poly", "zero-poly-constant", "poly-sign-change",
+        "missing-input", "undecodable-input", "sweep-T-inf", "T-nan"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inf.ini").write_text("[scan]\nT = inf\npoints = 15\n")
+    (tmp_path / "binary.dat").write_bytes(b"\x89\xff\xfe\x00")
     assert run("--out", str(tmp_path), *argv) == 2
     assert not list(tmp_path.glob("*.csv"))
 

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from fracdecay.decayfit import check_envelope
 from fracdecay.errors import (DomainError, FracdecayError, NonFiniteState,
                               PositivityLoss, StepDivergence)
 from fracdecay.fracode import TimeGrid, default_grading, solve_linear_mode
-from fracdecay.nonlinear import (FieldTrace, OperatorSpec, SourceSpec,
-                                 SpatialGrid1D, _half_coefficient,
-                                 check_energy_inequality, predict_exponent,
-                                 run_scenario, solve_nonlinear)
+from fracdecay.nonlinear import (OperatorSpec, SourceSpec, SpatialGrid1D,
+                                 _half_coefficient, check_energy_inequality,
+                                 predict_exponent, solve_nonlinear)
 from fracdecay.spectral import CoefficientSpec
 
 COEFF = CoefficientSpec(kind="power", kappa=1.0, beta=0.5)
@@ -142,26 +142,31 @@ def test_energy_inequality_needs_fields():
         check_energy_inequality(tr, 0.5)
 
 
+def _application_run(spec, source, horizon):
+    """The application runs of reproduce at 63 points and 256 steps."""
+    g = SpatialGrid1D(math.pi, 63)
+    tr = solve_nonlinear(spec, source, 0.5, COEFF, 0.5 * np.sin(g.x), g,
+                         TimeGrid(horizon, 256, default_grading(0.5)),
+                         sweeps=2)
+    s = predict_exponent(spec, 0.5, 0.5)
+    return tr, s, check_envelope(tr.times, tr.energies, s, two_sided=False)
+
+
 def test_fisher_scenario_respects_population_bounds():
-    tr, rep = run_scenario("fisher_kpp", alpha=0.5, beta=0.5, points=63,
-                           steps=256, horizon=50.0)
-    assert isinstance(tr, FieldTrace)
+    tr, _, rep = _application_run(OperatorSpec(kind="laplace"),
+                                  SourceSpec(kind="fisher_kpp"), 50.0)
     assert np.min(tr.fields[1:]) > 0.0
     assert np.max(tr.fields) <= 1.0 + 1e-12
     assert rep.verdict == "upper_only_ok"
 
 
-def test_fisher_rejects_oversized_data():
-    with pytest.raises(DomainError):
-        run_scenario("fisher_kpp", amplitude=1.5, points=63, steps=64)
-
-
 def test_pme_scenario_upper_envelope():
-    tr, rep = run_scenario("semilinear_pme", alpha=0.5, beta=0.5, m=1.0,
-                           mu=1.0, p=2.0, points=63, steps=256,
-                           horizon=200.0)
+    # Lap |w|^m w in flux form has mobility (m+1)|w|^m, here m = 1
+    _, s, rep = _application_run(
+        OperatorSpec(kind="porous_medium", m=1.0, c0=2.0),
+        SourceSpec(kind="power_absorption", mu=1.0, p=2.0), 200.0)
+    assert s == pytest.approx(0.5)
     assert rep.verdict == "upper_only_ok"
-    assert rep.predicted_exponent == pytest.approx(0.5)
 
 
 def test_shape_mismatch_rejected():
