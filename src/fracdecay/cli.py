@@ -17,9 +17,7 @@ import numpy as np
 
 from . import decayfit, io, reproduce, spectral
 from .errors import (AmbiguousFit, ConfigError, DegenerateTrace, DomainError,
-                     FracdecayError, InadmissibleParams, NonConvergence,
-                     NonFiniteState, NonpositivePrimitive, PositivityLoss,
-                     QuadratureUnderResolved, RootSolveFailure, StepDivergence)
+                     FracdecayError, InadmissibleParams, PositivityLoss)
 from .fracode import (SemilinearParams, TimeGrid, default_grading,
                       lemma_envelope, solve_semilinear)
 from .nonlinear import (OperatorSpec, SourceSpec, SpatialGrid1D,
@@ -33,16 +31,28 @@ EXIT_VIOLATION = 3
 EXIT_DEGENERATE = 4
 EXIT_NUMERIC = 5
 
-_CONFIG_ERRORS = (ConfigError, DomainError, InadmissibleParams)
-_NUMERIC_ERRORS = (NonConvergence, RootSolveFailure, NonFiniteState,
-                   StepDivergence, QuadratureUnderResolved,
-                   NonpositivePrimitive)
+# stderr prefix and exit status of each error family; the first family
+# that matches wins, and every other toolkit error is a numeric failure
+_ERRORS = (
+    ((ConfigError, DomainError, InadmissibleParams), "error", EXIT_CONFIG),
+    ((DegenerateTrace, AmbiguousFit), "degenerate", EXIT_DEGENERATE),
+    (PositivityLoss, "violation", EXIT_VIOLATION),
+    (FracdecayError, "numeric failure", EXIT_NUMERIC),
+)
+
+# exit status of each decay verdict; None is a command that gives none
+_VERDICT_EXIT = {None: EXIT_OK, "sandwich_ok": EXIT_OK,
+                 "upper_only_ok": EXIT_OK, "violated": EXIT_VIOLATION,
+                 "degenerate": EXIT_DEGENERATE}
 
 
-def _out_path(args, name):
-    d = args.out or "."
-    os.makedirs(d, exist_ok=True)
-    return os.path.join(d, name)
+def _emit(args, name, header, columns, verdict=None, *notes):
+    """Write the CSV `name` under --out, print its path, verdict and notes
+    tab-separated, and return the verdict's exit status."""
+    path = io.write_csv_atomic(os.path.join(args.out or ".", name), header,
+                               columns)
+    print("\t".join(filter(None, (path, verdict, *notes))))
+    return _VERDICT_EXIT[verdict]
 
 
 def _floats(text):
@@ -109,11 +119,9 @@ def _cmd_ode_solve(args):
     grid = TimeGrid(args.T, args.steps, grading)
     tr = solve_semilinear(params, args.alpha, grid)
     sub, sup = lemma_envelope(params, args.alpha)
-    path = _out_path(args, "ode_trace.csv")
-    io.write_csv_atomic(path, ["t", "H", "sub_envelope", "super_envelope"],
-                        [tr.times, tr.values, sub(tr.times), sup(tr.times)])
-    print(path)
-    return EXIT_OK
+    return _emit(args, "ode_trace.csv",
+                 ["t", "H", "sub_envelope", "super_envelope"],
+                 [tr.times, tr.values, sub(tr.times), sup(tr.times)])
 
 
 def _build_eigensystem(args):
@@ -143,11 +151,9 @@ def _cmd_subdiffusion_solve(args):
     prof = 1.0 + lam * times ** (args.alpha + args.beta)
     lo = level + rep.envelope_lower / prof
     hi = level + rep.envelope_upper / prof
-    path = _out_path(args, "subdiffusion_trace.csv")
-    io.write_csv_atomic(path, ["t", "E", "bound_lower", "bound_upper"],
-                        [times, tr.energies, lo, hi])
-    print(f"{path}\t{rep.verdict}")
-    return EXIT_OK if rep.verdict != "violated" else EXIT_VIOLATION
+    return _emit(args, "subdiffusion_trace.csv",
+                 ["t", "E", "bound_lower", "bound_upper"],
+                 [times, tr.energies, lo, hi], rep.verdict)
 
 
 def _cmd_heat_solve(args):
@@ -163,11 +169,9 @@ def _cmd_heat_solve(args):
     A = np.asarray(coeff.primitive(times), dtype=float)
     lo = abs(u0k[0]) * np.exp(-lam1 * A)
     hi = float(np.linalg.norm(u0k)) * np.exp(-lam1 * A)
-    path = _out_path(args, "heat_trace.csv")
-    io.write_csv_atomic(path, ["t", "E", "bound_lower", "bound_upper"],
-                        [times, tr.energies, lo, hi])
-    print(path)
-    return EXIT_OK
+    return _emit(args, "heat_trace.csv",
+                 ["t", "E", "bound_lower", "bound_upper"],
+                 [times, tr.energies, lo, hi])
 
 
 def _nonlinear_u0(grid, text, seed):
@@ -183,7 +187,8 @@ def _nonlinear_u0(grid, text, seed):
     raise ConfigError(f"unknown initial-data preset {text!r}")
 
 
-def _run_nonlinear_once(args, suffix="", created=None):
+def _run_nonlinear(args):
+    """One run as the header, columns, verdict and note `_emit` takes."""
     spec = OperatorSpec(kind=args.operator, p=args.p, m=args.m, c0=1.0,
                         q=args.q, gamma=args.gamma)
     src = SourceSpec(kind=args.source, mu=args.mu) if args.source != "none" \
@@ -203,13 +208,8 @@ def _run_nonlinear_once(args, suffix="", created=None):
     s = predict_exponent(spec, args.alpha, args.beta)
     rep = decayfit.check_envelope(tr.times, tr.energies, s, two_sided=False)
     bound = rep.envelope_upper / (1.0 + tr.times ** s)
-    path = _out_path(args, f"nonlinear_trace{suffix}.csv")
-    io.write_csv_atomic(path, ["t", "E", "predicted_bound"],
-                        [tr.times, tr.energies, bound])
-    if created is not None:
-        created.append(path)
-    print(f"{path}\t{rep.verdict}\texponent={s:g}")
-    return EXIT_OK if rep.verdict != "violated" else EXIT_VIOLATION
+    return (["t", "E", "predicted_bound"], [tr.times, tr.energies, bound],
+            rep.verdict, f"exponent={s:g}")
 
 
 class _SweepParser(argparse.ArgumentParser):
@@ -221,7 +221,7 @@ class _SweepParser(argparse.ArgumentParser):
 
 def _cmd_nonlinear_solve(args):
     if not args.experiment:
-        return _run_nonlinear_once(args)
+        return _emit(args, "nonlinear_trace.csv", *_run_nonlinear(args))
     # entries are checked against the `nonlinear solve` flags themselves
     flags = _SweepParser(add_help=False, allow_abbrev=False)
     _nonlinear_flags(flags)
@@ -238,25 +238,20 @@ def _cmd_nonlinear_solve(args):
                 run = flags.parse_args(argv, argparse.Namespace(**vars(args)))
             except ConfigError as exc:
                 raise ConfigError(f"[{section}] {exc}") from None
+            typed = {k: getattr(run, k) for k in point}
             tags = [f"{k}{v:g}" if isinstance(v, float) else f"{k}{v}"
-                    for k, v in point.items()]
+                    for k, v in typed.items()]
             tag = "_" + "_".join([section] + tags)
             # {v:g} keeps 6 digits: refuse before any run starts
             if tag in jobs:
                 raise ConfigError(f"[{section}] two grid points both write "
                                   f"nonlinear_trace{tag}.csv")
             jobs[tag] = run
-    created = []
-    try:
-        codes = [_run_nonlinear_once(run, tag, created)
-                 for tag, run in jobs.items()]
-    except Exception:
-        # a failed sweep leaves no partial artifact set behind
-        for path in created:
-            if os.path.exists(path):
-                os.unlink(path)
-        raise
-    return max(codes) if codes else EXIT_OK
+    # every point runs before the first CSV is written, so a failed
+    # sweep leaves no partial artifact set behind
+    runs = {tag: _run_nonlinear(run) for tag, run in jobs.items()}
+    return max((_emit(args, f"nonlinear_trace{tag}.csv", *run)
+                for tag, run in runs.items()), default=EXIT_OK)
 
 
 def _cmd_decay_fit(args):
@@ -276,10 +271,7 @@ def _cmd_decay_fit(args):
         print(f"  envelope_lower   {rep.envelope_lower:.6g}")
         print(f"  envelope_upper   {rep.envelope_upper:.6g}")
         print(f"  notes            {rep.notes}")
-        if rep.verdict == "degenerate":
-            return EXIT_DEGENERATE
-        return EXIT_OK if rep.verdict in ("sandwich_ok", "upper_only_ok") \
-            else EXIT_VIOLATION
+        return _VERDICT_EXIT[rep.verdict]
     fm = decayfit.fit_model_select(t, e, window=args.window)
     print(f"model: {fm.kind}")
     for k, v in fm.params.items():
@@ -291,7 +283,8 @@ def _cmd_decay_fit(args):
 def _cmd_reproduce(args):
     rows = reproduce.run_all(out_dir=args.out, profile=args.tolerance_profile)
     print(reproduce.format_table(rows))
-    return EXIT_OK if all(r.passed for r in rows) else EXIT_VIOLATION
+    # a failed row is a violation of what it checks
+    return _VERDICT_EXIT[None if all(r.passed for r in rows) else "violated"]
 
 
 def _nonlinear_flags(s):
@@ -403,21 +396,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DegenerateTrace, AmbiguousFit) as exc:
-        print(f"degenerate: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except PositivityLoss as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except FracdecayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        prefix, code = next((prefix, code) for family, prefix, code in _ERRORS
+                            if isinstance(exc, family))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

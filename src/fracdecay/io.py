@@ -3,8 +3,8 @@
 CSV files carry a header row, 17-significant-digit decimal values (lossless
 double round-trip) and UNIX line endings, and are written atomically via a
 temp file in the target directory followed by rename.  Experiment files are
-flat key-value text with ``[section]`` headers; comma-separated values are
-read back as lists.
+flat key-value text with ``[section]`` headers; values are read back as
+strings, and comma-separated values as lists of strings.
 """
 
 from __future__ import annotations
@@ -75,19 +75,9 @@ def read_csv_columns(path: str):
     return names, {n: np.asarray(v) for n, v in data.items()}
 
 
-def _coerce(raw: str):
-    raw = raw.strip()
-    if "," in raw:
-        return [_coerce(part) for part in raw.split(",") if part.strip()]
-    try:
-        v = float(raw)
-        return int(v) if v.is_integer() and "." not in raw and "e" not in raw.lower() else v
-    except ValueError:
-        return raw
-
-
 def parse_experiment_file(path: str):
-    """Sections of key-value pairs; values coerced to numbers/lists."""
+    """Sections of key-value pairs; values are strings, or lists of
+    strings where they hold commas, for the caller to type."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys are case-sensitive parameter names
     try:
@@ -98,5 +88,7 @@ def parse_experiment_file(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read experiment file {path}")
-    return {section: {k: _coerce(v) for k, v in kv}
+    # a value with a comma is a grid of values
+    return {section: {k: [p.strip() for p in v.split(",") if p.strip()]
+                      if "," in v else v.strip() for k, v in kv}
             for section, kv in items.items()}

@@ -204,21 +204,10 @@ class CoefficientSpec:
     table_a: tuple = ()
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "power":
-            return self.kappa * t ** self.beta
-        if self.kind == "exponential_rate":
-            return self.beta * t ** (self.beta - 1.0)
-        if self.kind == "logarithmic":
-            return self.p / ((1.0 + np.log1p(t)) * (1.0 + t))
-        if self.kind == "polynomial":
-            a = np.asarray(self.poly)
-            num = sum(j * a[j] * t ** (j - 1) for j in range(1, len(a)))
-            den = sum(a[j] * t ** j for j in range(len(a)))
-            return self.q * num / den
-        if self.kind == "tabulated":
-            return np.interp(t, self.table_t, self.table_a)
-        raise DomainError(f"unknown coefficient kind {self.kind!r}")
+        """a(t); only the power kind, which the stepping solvers use."""
+        if self.kind != "power":
+            raise DomainError(f"no pointwise value for kind {self.kind!r}")
+        return self.kappa * np.asarray(t, dtype=float) ** self.beta
 
     def primitive(self, t):
         t = np.asarray(t, dtype=float)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from fracdecay import cli, errors
 from fracdecay.cli import main
 from fracdecay.io import read_csv_columns, write_csv_atomic
 
@@ -123,13 +124,14 @@ def test_nonlinear_sweep_bad_entry(tmp_path, entry):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_failed_sweep_leaves_no_partial_artifacts(tmp_path):
+def test_failed_sweep_leaves_no_partial_artifacts(tmp_path, capsys):
     # the second run breaks the coefficient hypothesis beta > -alpha
     exp = tmp_path / "sweep.ini"
     exp.write_text("[scan]\nbeta = 0.5, -0.6\npoints = 15\nsteps = 32\n")
     assert run("--out", str(tmp_path), "nonlinear", "solve",
                "--experiment", str(exp)) == 2
     assert not list(tmp_path.glob("*.csv"))
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_points_with_one_file_name_rejected(tmp_path):
@@ -157,12 +159,18 @@ def test_decay_fit_violation_exit_code(tmp_path, capsys):
                "--exponent", "1", "--one-sided") == 3
 
 
-def test_decay_fit_degenerate_exit_code(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["decay", "fit", "--input", "zero.csv", "--exponent", "1"],
+    ["subdiffusion", "solve", "--alpha", "0.5", "--u0", "0,0,0,0",
+     "--modes", "4"],
+], ids=["decay-fit", "subdiffusion-solve"])
+def test_decay_fit_degenerate_exit_code(tmp_path, monkeypatch, capsys, argv):
+    # a zero trace is `degenerate` with one exit status from every command
+    monkeypatch.chdir(tmp_path)
     t = np.logspace(-1, 3, 200)
-    write_csv_atomic(str(tmp_path / "zero.csv"), ["t", "E"],
-                     [t, np.zeros_like(t)])
-    assert run("decay", "fit", "--input", str(tmp_path / "zero.csv"),
-               "--exponent", "1") == 4
+    write_csv_atomic("zero.csv", ["t", "E"], [t, np.zeros_like(t)])
+    assert run("--out", str(tmp_path), *argv) == 4
+    assert "degenerate" in capsys.readouterr().out
 
 
 def test_decay_fit_model_selection(tmp_path, capsys):
@@ -194,6 +202,31 @@ def test_bad_input_is_config_error(tmp_path, monkeypatch, argv):
     (tmp_path / "binary.dat").write_bytes(b"\x89\xff\xfe\x00")
     assert run("--out", str(tmp_path), *argv) == 2
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("error, prefix, code", [
+    (errors.ConfigError, "error", 2),
+    (errors.DomainError, "error", 2),
+    (errors.InadmissibleParams, "error", 2),
+    (errors.DegenerateTrace, "degenerate", 4),
+    (errors.AmbiguousFit, "degenerate", 4),
+    (errors.PositivityLoss, "violation", 3),
+    (errors.NonConvergence, "numeric failure", 5),
+    (errors.RootSolveFailure, "numeric failure", 5),
+    (errors.NonFiniteState, "numeric failure", 5),
+    (errors.StepDivergence, "numeric failure", 5),
+    (errors.QuadratureUnderResolved, "numeric failure", 5),
+    (errors.NonpositivePrimitive, "numeric failure", 5),
+])
+def test_error_family_prefix_and_exit_code(monkeypatch, capsys, error,
+                                           prefix, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_specfun_eval", fail)
+    assert run("specfun", "eval", "--alpha", "0.5", "--m", "1", "--l", "0",
+               "--z", "1") == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 def test_unknown_flag_is_config_error():

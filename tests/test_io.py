@@ -60,10 +60,10 @@ def test_experiment_file_sections_and_lists(tmp_path):
     p.write_text("[scan]\nalpha = 0.5\nm = 1, 2\noperator = porous_medium\n"
                  "steps = 128\n")
     cfg = parse_experiment_file(str(p))
-    assert cfg["scan"]["alpha"] == 0.5
-    assert cfg["scan"]["m"] == [1, 2]
+    assert cfg["scan"]["alpha"] == "0.5"
+    assert cfg["scan"]["m"] == ["1", "2"]
     assert cfg["scan"]["operator"] == "porous_medium"
-    assert cfg["scan"]["steps"] == 128
+    assert cfg["scan"]["steps"] == "128"
 
 
 def test_missing_experiment_file(tmp_path):

@@ -171,6 +171,8 @@ def test_hypothesis_flag():
     assert not CoefficientSpec(kind="power", kappa=1.0,
                                beta=-0.75).satisfies_hypothesis(0.5)
     assert not CoefficientSpec(kind="logarithmic").satisfies_hypothesis(0.5)
+    with pytest.raises(DomainError):
+        CoefficientSpec(kind="logarithmic").value(1.0)
 
 
 def test_unknown_boundary_kind_rejected():
