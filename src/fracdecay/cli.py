@@ -341,7 +341,6 @@ def build_parser():
     s.set_defaults(func=_cmd_ode_solve)
 
     def spectral_flags(s):
-        s.add_argument("--alpha", type=float, required=True)
         s.add_argument("--beta", type=float, default=0.0)
         s.add_argument("--geometry", type=_geometry, default="interval")
         s.add_argument("--bc", choices=("dirichlet", "neumann"),
@@ -354,6 +353,7 @@ def build_parser():
                                                       required=True)
     s = g.add_parser("solve")
     spectral_flags(s)
+    s.add_argument("--alpha", type=float, required=True)
     s.set_defaults(func=_cmd_subdiffusion_solve)
 
     g = top.add_parser("heat").add_subparsers(dest="verb", required=True)

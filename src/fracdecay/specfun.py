@@ -20,9 +20,11 @@ decay, so the summation switches between three regimes
     two-sided bounds, rescaled so it matches the last trustworthy series
     value.  Values from this branch are flagged as approximate.
 
-The log-ratio partial sums that plan the summation, the double-precision
-ratios and the fixed-point ratios are tables built on first use, once per
-parameter set (and precision), and extended when more terms are needed.
+One pass over the Gamma arguments a(jm+l)+1 per parameter set builds the
+log-ratio partial sums that plan the summation and the double-precision
+ratios, and rejects a Gamma pole among the terms it evaluates; the
+fixed-point ratios are a table per parameter set and precision.  Tables
+are built on first use and extended when more terms are needed.
 
 Mittag-Leffler is the m = 1 case, E_{a,b}(z) = E_{a,1,(b-1)/a}(z) / G(b),
 summed by the same engine; for z < -10 it uses its algebraic tail instead.
@@ -76,14 +78,6 @@ class KilbasSaigoParams:
     def __post_init__(self):
         if not (self.alpha > 0 and self.m > 0):
             raise InadmissibleParams("require alpha > 0 and m > 0")
-        # pole scan: a(jm+l)+1 must avoid nonpositive integers for every
-        # Gamma factor the truncated series can touch
-        for j in range(DEFAULT_ACCURACY.max_terms + 1):
-            x = self.alpha * (j * self.m + self.l) + 1.0
-            if x <= 0.5 and abs(x - round(x)) < 1e-9:
-                raise InadmissibleParams(
-                    f"alpha*({j}*m+l)+1 = {x:g} hits a Gamma pole"
-                )
 
     @property
     def is_decay_form(self) -> bool:
@@ -121,68 +115,68 @@ def kilbas_saigo_bounds(alpha: float, m: float, z: float) -> BoundPair:
 # {{{ series internals
 
 
-def _log_ratio(alpha, m, l, j):
-    """log |Gamma ratio| appended when extending the product from j to j+1."""
-    x = alpha * (j * m + l) + 1.0
-    y = alpha * (j * m + l + 1.0) + 1.0
-    return gammaln(x) - gammaln(y)
-
-
-def _sign_ratio(alpha, m, l, j):
-    x = alpha * (j * m + l) + 1.0
-    y = alpha * (j * m + l + 1.0) + 1.0
-    return gammasgn(x) * gammasgn(y)
-
-
-# every table of the series engine, see _table
+# every table of the series engine, see _gamma_table and _fixed_ratios.
+# Keys hold the exact parameters: a value never depends on which nearby
+# parameters were evaluated first.  A longer table is built in full before
+# it replaces the cached one, so a concurrent reader only ever sees a
+# complete table.
 _RATIO_CACHE: dict = {}
 # fractional bits of the fixed-point sum beyond the ratio table's precision
 _GUARD_BITS = 64
 
 
-def _table(key, n, extend):
-    """The table cached under key, grown to at least n entries.
+def _gamma_table(alpha, m, l, n):
+    """Columns (log|c_k|, ratio_j) for k = 1..n and j < n, cached under
+    (alpha, m, l) and grown to at least n entries.
 
-    extend(table, n) returns table followed by its entries up to n.  The
-    longer table is built in full before it replaces the cached one, so a
-    concurrent reader only ever sees a complete table.  Keys hold the exact
-    parameters: a value never depends on which nearby parameters were
-    evaluated first.
+    ratio_j = G(x)/G(y) with x = a(jm+l)+1, y = a(jm+l+1)+1, in double
+    precision and signed; log|c_k| sums log|ratio_j| over j < k in order from the
+    first term on.  A Gamma pole at x rejects the parameters.
     """
-    table = _RATIO_CACHE.get(key, ())
-    if len(table) < n:
-        table = extend(table, n)
-        _RATIO_CACHE[key] = table
+    logcs, ratios = _RATIO_CACHE.get((alpha, m, l), ((), ()))
+    if len(logcs) >= n:
+        return logcs, ratios
+    logc = logcs[-1] if logcs else 0.0
+    more_logcs, more_ratios = [], []
+    for j in range(len(logcs), n):
+        x = alpha * (j * m + l) + 1.0
+        if x <= 0.5 and abs(x - round(x)) < 1e-9:
+            raise InadmissibleParams(
+                f"alpha*({j}*m+l)+1 = {x:g} hits a Gamma pole"
+            )
+        y = alpha * (j * m + l + 1.0) + 1.0
+        lr = gammaln(x) - gammaln(y)
+        logc += lr
+        more_logcs.append(float(logc))
+        more_ratios.append(float(gammasgn(x) * gammasgn(y) * math.exp(lr)))
+    table = (logcs + tuple(more_logcs), ratios + tuple(more_ratios))
+    _RATIO_CACHE[alpha, m, l] = table
     return table
 
 
-def _log_prefix(alpha, m, l, table, n):
-    """Partial sums log|c_k| = sum_{j<k} log|ratio_j|, k = 1..n, summed
-    in order from the first term on."""
-    logc = table[-1] if table else 0.0
-    more = []
-    for j in range(len(table), n):
-        logc += _log_ratio(alpha, m, l, j)
-        more.append(float(logc))
-    return table + tuple(more)
+@functools.lru_cache(maxsize=None)
+def _mp_context(dps):
+    """An mpmath context fixed at dps digits.  Unlike mpmath.workdps it
+    leaves the process-wide precision alone, which threads share."""
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    return ctx
 
 
-def _double_ratios(alpha, m, l, table, n):
-    """Signed Gamma-ratio factors in double precision."""
-    return table + tuple(
-        float(_sign_ratio(alpha, m, l, j) * math.exp(_log_ratio(alpha, m, l, j)))
-        for j in range(len(table), n))
-
-
-def _fixed_ratios(alpha, m, l, ctx, frac, table, n):
-    """Gamma-ratio factors at ctx's precision, each converted exactly (for
-    |ratio| >= 2**-_GUARD_BITS) to an integer with frac fractional bits."""
-    a, mm, ll = ctx.mpf(alpha), ctx.mpf(m), ctx.mpf(l)
-    more = []
-    for j in range(len(table), n):
-        x = a * (j * mm + ll) + 1
-        more.append(to_fixed((ctx.gamma(x) / ctx.gamma(x + a))._mpf_, frac))
-    return table + tuple(more)
+def _fixed_ratios(alpha, m, l, dps, n):
+    """(table, frac): at least n Gamma-ratio factors at dps digits, each
+    converted exactly (for |ratio| >= 2**-_GUARD_BITS) to an integer with
+    frac fractional bits, cached under (alpha, m, l, dps)."""
+    ctx = _mp_context(dps)
+    frac = ctx.prec + _GUARD_BITS
+    table = _RATIO_CACHE.get((alpha, m, l, dps), ())
+    if len(table) < n:
+        a, mm, ll = ctx.mpf(alpha), ctx.mpf(m), ctx.mpf(l)
+        xs = (a * (j * mm + ll) + 1 for j in range(len(table), n))
+        table += tuple(to_fixed((ctx.gamma(x) / ctx.gamma(x + a))._mpf_, frac)
+                       for x in xs)
+        _RATIO_CACHE[alpha, m, l, dps] = table
+    return table, frac
 
 
 def _plan(alpha, m, l, z, acc):
@@ -194,8 +188,7 @@ def _plan(alpha, m, l, z, acc):
     """
     logz = math.log(abs(z))
     floor = math.log(max(acc.abs_tol, 1e-280)) - 2.0 * _LN10
-    logcs = _table(("plan", alpha, m, l), acc.max_terms,
-                   functools.partial(_log_prefix, alpha, m, l))
+    logcs = _gamma_table(alpha, m, l, acc.max_terms)[0]
     peak = 0.0
     quiet = 0
     for k, logc in zip(range(1, acc.max_terms + 1), logcs):
@@ -260,29 +253,15 @@ def _fixed_sum(ratios, frac, z, acc):
     raise NonConvergence("series summation exhausted the planned terms")
 
 
-@functools.lru_cache(maxsize=None)
-def _mp_context(dps):
-    """An mpmath context fixed at dps digits.  Unlike mpmath.workdps it
-    leaves the process-wide precision alone, which threads share."""
-    ctx = mpmath.MPContext()
-    ctx.dps = dps
-    return ctx
-
-
 def _series_value(alpha, m, l, z, acc):
     n, peak = _plan(alpha, m, l, z, acc)
     digits = peak / _LN10
     # positive z: all-positive terms, no cancellation, only overflow to guard
     if digits <= (280.0 if z > 0.0 else _DOUBLE_DIGITS):
-        ratios = _table(("double", alpha, m, l), n,
-                        functools.partial(_double_ratios, alpha, m, l))
-        return _sum(ratios[:n], z, acc)
+        return _sum(_gamma_table(alpha, m, l, n)[1][:n], z, acc)
     # digits rounded up to a multiple of 10 so nearby arguments share a table
     dps = -(-(int(digits) + 25) // 10) * 10
-    ctx = _mp_context(dps)
-    frac = ctx.prec + _GUARD_BITS
-    ratios = _table(("fixed", alpha, m, l, dps), n,
-                    functools.partial(_fixed_ratios, alpha, m, l, ctx, frac))
+    ratios, frac = _fixed_ratios(alpha, m, l, dps, n)
     return _fixed_sum(ratios[:n], frac, z, acc)
 
 
@@ -291,14 +270,12 @@ def _series_value(alpha, m, l, z, acc):
 
 # {{{ bound-anchored surrogate for deep negative arguments
 
-_SEAM_CACHE: dict = {}
-
-
 def _geomean(alpha, m, z):
     b = kilbas_saigo_bounds(alpha, m, z)
     return math.sqrt(b.lower * b.upper)
 
 
+@functools.lru_cache(maxsize=None)
 def _seam(params, acc):
     """(z0, scale) anchoring the surrogate branch to the series.
 
@@ -307,9 +284,6 @@ def _seam(params, acc):
     the evaluated function stays continuous and inside the two-sided
     bounds for every z < -z0.
     """
-    hit = _SEAM_CACHE.get((params, acc))
-    if hit is not None:
-        return hit
     alpha, m, l = params.alpha, params.m, params.l
     z0 = _SERIES_CUTOFF
     for _ in range(40):
@@ -331,9 +305,7 @@ def _seam(params, acc):
             z0 = mid
         except NonConvergence:
             hi = mid
-    scale = _series_value(alpha, m, l, -z0, acc) / _geomean(alpha, m, z0)
-    _SEAM_CACHE[params, acc] = (z0, scale)
-    return z0, scale
+    return z0, _series_value(alpha, m, l, -z0, acc) / _geomean(alpha, m, z0)
 
 
 # }}}
@@ -375,8 +347,6 @@ def mittag_leffler(alpha: float, beta: float, z: float,
         return 1.0 / math.gamma(beta)
     if z < -10.0:
         return -sum(z ** (-k) * rgamma(beta - alpha * k) for k in range(1, 6))
-
-    # a j + b > 0 for every j: no Gamma pole, so no KilbasSaigoParams scan
     return (_series_value(alpha, 1.0, (beta - 1.0) / alpha, z, acc)
             / math.gamma(beta))
 

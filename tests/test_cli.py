@@ -69,7 +69,7 @@ def test_subdiffusion_neumann_plateau_is_ok(tmp_path, capsys):
 
 
 def test_heat_solve(tmp_path):
-    assert run("--out", str(tmp_path), "heat", "solve", "--alpha", "1",
+    assert run("--out", str(tmp_path), "heat", "solve",
                "--coeff-kind", "power", "--kappa", "1", "--beta", "1",
                "--u0", "first_mode", "--T", "100") == 0
     names, cols = read_csv_columns(str(tmp_path / "heat_trace.csv"))
@@ -77,6 +77,13 @@ def test_heat_solve(tmp_path):
     # E = sqrt(coeff^2) underflows before the directly computed bound does
     live = cols["E"] > 1e-300
     assert np.all(cols["bound_lower"][live] <= cols["E"][live] * (1 + 1e-12))
+
+
+def test_heat_solve_needs_no_alpha(tmp_path):
+    # the heat equation has no fractional order, so --alpha is not a flag
+    assert run("--out", str(tmp_path), "heat", "solve", "--coeff-kind",
+               "logarithmic", "--p", "3") == 0
+    assert run("--out", str(tmp_path), "heat", "solve", "--alpha", "1") == 2
 
 
 def test_nonlinear_solve(tmp_path, capsys):
@@ -183,12 +190,9 @@ def test_decay_fit_model_selection(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["subdiffusion", "solve", "--alpha", "0.5", "--geometry", "interval:abc"],
-    ["heat", "solve", "--alpha", "1", "--coeff-kind", "polynomial",
-     "--poly", "1,abc"],
-    ["heat", "solve", "--alpha", "1", "--coeff-kind", "polynomial",
-     "--poly", "0,1"],
-    ["heat", "solve", "--alpha", "1", "--coeff-kind", "polynomial",
-     "--poly", "1,-1"],
+    ["heat", "solve", "--coeff-kind", "polynomial", "--poly", "1,abc"],
+    ["heat", "solve", "--coeff-kind", "polynomial", "--poly", "0,1"],
+    ["heat", "solve", "--coeff-kind", "polynomial", "--poly", "1,-1"],
     ["decay", "fit", "--input", "missing.csv"],
     ["decay", "fit", "--input", "binary.dat"],
     ["nonlinear", "solve", "--experiment", "inf.ini"],

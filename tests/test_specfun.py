@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, gammasgn
 
 from fracdecay import specfun
 from fracdecay.errors import FracdecayError, InadmissibleParams, NonConvergence
@@ -118,10 +119,21 @@ def test_decay_family_within_bounds_and_monotone(alpha, m, z1, z2):
 
 
 def test_gamma_pole_rejected():
+    # a pole is found when the series is evaluated; E(0) = 1 needs no term
+    p = KilbasSaigoParams(alpha=0.5, m=1.0, l=-2.0)
+    assert kilbas_saigo(p, 0.0) == 1.0
     with pytest.raises(InadmissibleParams):
-        KilbasSaigoParams(alpha=0.5, m=1.0, l=-2.0)
+        kilbas_saigo(p, 1.0)
     with pytest.raises(InadmissibleParams):
         KilbasSaigoParams(alpha=-0.5, m=2.0, l=1.0)
+
+
+def test_gamma_pole_beyond_default_budget_rejected():
+    # alpha*(600*m+l)+1 = 0: the pole lies past the default 512 terms, so
+    # it must be found for the longer budget that reaches it
+    p = KilbasSaigoParams(alpha=0.5, m=0.002, l=-3.2)
+    with pytest.raises(InadmissibleParams):
+        kilbas_saigo(p, 0.5, SeriesAccuracy(max_terms=1024))
 
 
 def test_nonconvergence_outside_decay_family():
@@ -181,6 +193,21 @@ def test_mittag_leffler_matches_mpmath_series(alpha, beta, z):
                               abs=1e-11)
 
 
+def _gamma_args(alpha, m, l, j):
+    """x, y of the Gamma ratio G(x)/G(y) that extends term j to j+1."""
+    return alpha * (j * m + l) + 1.0, alpha * (j * m + l + 1.0) + 1.0
+
+
+def _log_ratio(alpha, m, l, j):
+    x, y = _gamma_args(alpha, m, l, j)
+    return gammaln(x) - gammaln(y)
+
+
+def _sign_ratio(alpha, m, l, j):
+    x, y = _gamma_args(alpha, m, l, j)
+    return gammasgn(x) * gammasgn(y)
+
+
 def _reference_series(alpha, m, l, z, acc):
     """The series value computed without specfun's tables: the plan walks
     freshly computed log-ratios, and the sum is a double loop or an mpf loop
@@ -190,7 +217,7 @@ def _reference_series(alpha, m, l, z, acc):
     logc = peak = 0.0
     quiet = 0
     for k in range(1, acc.max_terms + 1):
-        logc += specfun._log_ratio(alpha, m, l, k - 1)
+        logc += _log_ratio(alpha, m, l, k - 1)
         lt = logc + k * logz
         peak = max(peak, lt)
         quiet = quiet + 1 if lt < floor else 0
@@ -201,8 +228,8 @@ def _reference_series(alpha, m, l, z, acc):
             f"series needs more than {acc.max_terms} terms at z = {z:g}")
     digits = peak / math.log(10.0)
     if digits <= specfun._DOUBLE_DIGITS:
-        ratios = [specfun._sign_ratio(alpha, m, l, j)
-                  * math.exp(specfun._log_ratio(alpha, m, l, j))
+        ratios = [_sign_ratio(alpha, m, l, j)
+                  * math.exp(_log_ratio(alpha, m, l, j))
                   for j in range(k)]
         s = term = 1.0
     else:
