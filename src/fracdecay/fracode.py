@@ -22,6 +22,8 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, GridMismatch, RootSolveFailure
 
+_BLOCK = 32  # steps per history block; fastest on the fd_stepping benchmark
+
 
 def default_grading(alpha: float) -> float:
     """Grading exponent (2-a)/a, capped at 4."""
@@ -75,19 +77,20 @@ class CaputoL1Operator:
         self._h = np.diff(self._t)
         self._g2h = math.gamma(2.0 - alpha) * self._h
 
-    def weights_row(self, n: int) -> np.ndarray:
-        """Weights a_{n,1..n} of the convolution at node t_n."""
+    def weights_row(self, n: int, out=None) -> np.ndarray:
+        """Weights a_{n,1..n} at node t_n, written into ``out`` if given."""
+        out = np.empty(n) if out is None else out
         if self.alpha == 1.0:
             # (t_n - t_k)^(1-a) -> 1 for k < n but -> 0 for k = n
-            row = np.zeros(n)
-            row[-1] = 1.0 / self._h[n - 1]
-            return row
+            out[:-1] = 0.0
+            out[-1] = 1.0 / self._h[n - 1]
+            return out
         t = self._t
         e = 1.0 - self.alpha
         d = t[n] - t[:n + 1]
         d[-1] = 0.0  # guard roundoff at k = n
         p = d ** e
-        return (p[:-1] - p[1:]) / self._g2h[:n]
+        return np.divide(p[:-1] - p[1:], self._g2h[:n], out=out)
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Discrete D^a of per-node samples; values at t_1..t_N.
@@ -102,8 +105,12 @@ class CaputoL1Operator:
             )
         du = np.diff(samples, axis=0)
         out = np.empty_like(du)
-        for n in range(1, N + 1):
-            out[n - 1] = self.weights_row(n) @ du[:n]
+        W = np.zeros((min(_BLOCK, N), N))  # rows stay zero past their end
+        for n0 in range(0, N, _BLOCK):
+            n1 = min(n0 + _BLOCK, N)
+            for n, row in zip(range(n0 + 1, n1 + 1), W):
+                self.weights_row(n, out=row[:n])
+            out[n0:n1] = W[:n1 - n0, :n1] @ du[:n1]
         return out
 
     def march(self, u0, solve) -> np.ndarray:
@@ -120,10 +127,17 @@ class CaputoL1Operator:
         U = np.empty((N + 1,) + u0.shape)
         U[0] = u0
         dU = np.empty((N,) + u0.shape)
-        for n in range(1, N + 1):
-            row = self.weights_row(n)
-            U[n] = solve(n, row[-1], row[:-1] @ dU[:n - 1], U[n - 1])
-            dU[n - 1] = U[n] - U[n - 1]
+        W = np.empty((min(_BLOCK, N), N))
+        for n0 in range(0, N, _BLOCK):
+            n1 = min(n0 + _BLOCK, N)
+            for n, row in zip(range(n0 + 1, n1 + 1), W):
+                self.weights_row(n, out=row[:n])
+            # one product per block reads dU once per block, not per step
+            far = W[:n1 - n0, :n0] @ dU[:n0]
+            for n, row, f in zip(range(n0 + 1, n1 + 1), W, far):
+                hist = f + row[n0:n - 1].dot(dU[n0:n - 1])
+                U[n] = solve(n, row[n - 1], hist, U[n - 1])
+                dU[n - 1] = U[n] - U[n - 1]
         return U
 
 

@@ -76,8 +76,9 @@ class KilbasSaigoParams:
     l: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.m > 0):
-            raise InadmissibleParams("require alpha > 0 and m > 0")
+        if not (0 < self.alpha < math.inf and 0 < self.m < math.inf
+                and math.isfinite(self.l)):
+            raise InadmissibleParams("require finite alpha > 0, m > 0 and l")
 
     @property
     def is_decay_form(self) -> bool:

@@ -198,8 +198,15 @@ def test_decay_fit_model_selection(tmp_path, capsys):
     ["nonlinear", "solve", "--experiment", "inf.ini"],
     ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "2",
      "--nu", "1", "--h0", "1", "--T", "nan"],
+    ["specfun", "eval", "--alpha", "0.5", "--m", "2", "--l", "inf",
+     "--z", "-1"],
+    ["specfun", "eval", "--alpha", "0.5", "--m", "inf", "--l", "1",
+     "--z", "-1"],
+    ["specfun", "eval", "--alpha", "0.5", "--m", "2", "--l", "nan",
+     "--z", "-1"],
 ], ids=["bad-geometry", "bad-poly", "zero-poly-constant", "poly-sign-change",
-        "missing-input", "undecodable-input", "sweep-T-inf", "T-nan"])
+        "missing-input", "undecodable-input", "sweep-T-inf", "T-nan",
+        "l-inf", "m-inf", "l-nan"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inf.ini").write_text("[scan]\nT = inf\npoints = 15\n")
@@ -235,6 +242,15 @@ def test_error_family_prefix_and_exit_code(monkeypatch, capsys, error,
 
 def test_unknown_flag_is_config_error():
     assert run("specfun", "eval", "--frobnicate", "1") == 2
+
+
+def test_fast_reproduce_writes_table_and_csvs(tmp_path, capsys):
+    assert run("--out", str(tmp_path), "--tolerance-profile", "fast",
+               "reproduce") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[1] for ln in lines[:-1]] == ["PASS"] * 12
+    assert lines[-1] == "12/12 checks passed"
+    assert len(list(tmp_path.glob("*.csv"))) == 17
 
 
 def test_seeded_random_data_is_deterministic(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdecay import fracode
 from fracdecay.errors import DomainError, GridMismatch
 from fracdecay.fracode import (CaputoL1Operator, SemilinearParams, TimeGrid,
                                default_grading, lemma_envelope,
@@ -103,6 +104,61 @@ def test_apply_shape_checks():
     op = CaputoL1Operator(TimeGrid(1.0, 8), 0.5)
     with pytest.raises(GridMismatch):
         op.apply(np.ones(7))
+
+
+def _per_row_march(op, u0, solve):
+    """Step-by-step history, one weight-row product per step."""
+    u0 = np.asarray(u0, dtype=float)
+    N = op.grid.steps
+    U = np.empty((N + 1,) + u0.shape)
+    U[0] = u0
+    dU = np.empty((N,) + u0.shape)
+    for n in range(1, N + 1):
+        row = op.weights_row(n)
+        U[n] = solve(n, row[-1], row[:-1] @ dU[:n - 1], U[n - 1])
+        dU[n - 1] = U[n] - U[n - 1]
+    return U
+
+
+def _per_row_apply(op, samples):
+    """D^a of samples one row at a time, with the magnitude of each sum."""
+    du = np.diff(samples, axis=0)
+    rows = [op.weights_row(n) for n in range(1, len(du) + 1)]
+    return (np.array([w @ du[:len(w)] for w in rows]),
+            np.array([np.abs(w) @ np.abs(du[:len(w)]) for w in rows]))
+
+
+B = fracode._BLOCK
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(alpha=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+       steps=st.sampled_from([1, B - 1, B, B + 1, 3 * B + 5]),
+       width=st.sampled_from([None, 1, 5]), grading=st.floats(1.0, 4.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_history_matches_per_row_sums(alpha, steps, width, grading,
+                                              seed):
+    # march and apply sum the history block by block; the per-row sums
+    # they reorder agree with them to roundoff across every block edge
+    op = CaputoL1Operator(TimeGrid(10.0, steps, grading), alpha)
+    rng = np.random.default_rng(seed)
+    shape = () if width is None else (width,)
+    lam = rng.uniform(0.1, 2.0, shape)
+
+    def solve(n, ann, hist, prev):
+        return (ann * prev - hist) / (ann + lam)
+
+    u0 = rng.uniform(0.5, 1.5, shape)
+    ref = _per_row_march(op, u0, solve)
+    U = op.march(u0, solve)
+    assert U.shape == ref.shape
+    assert np.all(np.abs(U - ref) <= 1e-12 * np.abs(ref))
+
+    samples = rng.standard_normal((steps + 1,) + shape)
+    ref, mag = _per_row_apply(op, samples)
+    out = op.apply(samples)
+    assert out.shape == ref.shape
+    assert np.all(np.abs(out - ref) <= 1e-12 * mag)
 
 
 def test_linear_mode_zero_rate_is_constant():
