@@ -92,26 +92,30 @@ class CaputoL1Operator:
         p = d ** e
         return np.divide(p[:-1] - p[1:], self._g2h[:n], out=out)
 
-    def apply(self, samples: np.ndarray) -> np.ndarray:
+    def apply(self, *samples: np.ndarray):
         """Discrete D^a of per-node samples; values at t_1..t_N.
 
-        samples may be (N+1,) or (N+1, M) for M independent trajectories.
+        Each array may be (N+1,) or (N+1, M) for M independent
+        trajectories.  One pass over the weight rows serves every array;
+        returns one result per array, or the result alone for one array.
         """
-        samples = np.asarray(samples, dtype=float)
+        samples = [np.asarray(s, dtype=float) for s in samples]
         N = self.grid.steps
-        if samples.shape[0] != N + 1:
-            raise GridMismatch(
-                f"expected {N + 1} samples, got {samples.shape[0]}"
-            )
-        du = np.diff(samples, axis=0)
-        out = np.empty_like(du)
+        for s in samples:
+            if s.shape[0] != N + 1:
+                raise GridMismatch(
+                    f"expected {N + 1} samples, got {s.shape[0]}"
+                )
+        dus = [np.diff(s, axis=0) for s in samples]
+        outs = [np.empty_like(du) for du in dus]
         W = np.zeros((min(_BLOCK, N), N))  # rows stay zero past their end
         for n0 in range(0, N, _BLOCK):
             n1 = min(n0 + _BLOCK, N)
             for n, row in zip(range(n0 + 1, n1 + 1), W):
                 self.weights_row(n, out=row[:n])
-            out[n0:n1] = W[:n1 - n0, :n1] @ du[:n1]
-        return out
+            for du, out in zip(dus, outs):
+                out[n0:n1] = W[:n1 - n0, :n1] @ du[:n1]
+        return outs[0] if len(outs) == 1 else tuple(outs)
 
     def march(self, u0, solve) -> np.ndarray:
         """Implicit L1 time stepping from u0, a scalar or an (M,) field.

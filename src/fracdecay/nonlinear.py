@@ -239,9 +239,8 @@ def check_energy_inequality(trace: FieldTrace, alpha: float) -> np.ndarray:
         raise DomainError("trace was run with keep_fields=False")
     op = CaputoL1Operator(trace.tgrid, alpha)
     h = trace.grid.h
-    dE = op.apply(trace.energies)
+    dE, dU = op.apply(trace.energies, trace.fields)
     lhs = trace.energies[1:] * dE
-    dU = op.apply(trace.fields)
     rhs = h * np.sum(trace.fields[1:] * dU, axis=1)
     return rhs - lhs
 

@@ -22,9 +22,14 @@ decay, so the summation switches between three regimes
 
 One pass over the Gamma arguments a(jm+l)+1 per parameter set builds the
 log-ratio partial sums that plan the summation and the double-precision
-ratios, and rejects a Gamma pole among the terms it evaluates; the
-fixed-point ratios are a table per parameter set and precision.  Tables
-are built on first use and extended when more terms are needed.
+ratios, and rejects a Gamma pole among the terms it evaluates.  The
+fixed-point ratios of a parameter set are one table at one precision: the
+precision needed at the set's feasibility edge z0, the largest |z| <= 10
+the term budget can sum on the negative axis.  Peak term and term count
+grow with |z| there, so that table serves every negative argument up to
+z0.  For m = 1 consecutive Gamma arguments differ by a, so the table takes
+one Gamma per term.  Tables are built on first use and extended when more
+terms are needed.
 
 Mittag-Leffler is the m = 1 case, E_{a,b}(z) = E_{a,1,(b-1)/a}(z) / G(b),
 summed by the same engine; for z < -10 it uses its algebraic tail instead.
@@ -170,13 +175,20 @@ def _fixed_ratios(alpha, m, l, dps, n):
     frac fractional bits, cached under (alpha, m, l, dps)."""
     ctx = _mp_context(dps)
     frac = ctx.prec + _GUARD_BITS
-    table = _RATIO_CACHE.get((alpha, m, l, dps), ())
+    table, last = _RATIO_CACHE.get((alpha, m, l, dps), ((), None))
     if len(table) < n:
         a, mm, ll = ctx.mpf(alpha), ctx.mpf(m), ctx.mpf(l)
-        xs = (a * (j * mm + ll) + 1 for j in range(len(table), n))
-        table += tuple(to_fixed((ctx.gamma(x) / ctx.gamma(x + a))._mpf_, frac)
-                       for x in xs)
-        _RATIO_CACHE[alpha, m, l, dps] = table
+        xs = [a * (j * mm + ll) + 1 for j in range(len(table), n + 1)]
+        if m == 1.0:
+            # G(x_j + a) = G(x_{j+1}): one Gamma per term; the last one is
+            # kept for the next extension
+            gs = [ctx.gamma(xs[0]) if last is None else last]
+            gs += [ctx.gamma(x) for x in xs[1:]]
+            ratios, last = (g / h for g, h in zip(gs, gs[1:])), gs[-1]
+        else:
+            ratios = (ctx.gamma(x) / ctx.gamma(x + a) for x in xs[:-1])
+        table += tuple(to_fixed(r._mpf_, frac) for r in ratios)
+        _RATIO_CACHE[alpha, m, l, dps] = table, last
     return table, frac
 
 
@@ -254,38 +266,33 @@ def _fixed_sum(ratios, frac, z, acc):
     raise NonConvergence("series summation exhausted the planned terms")
 
 
+def _dps(digits):
+    """Working digits for a peak term of 10**digits: 25 guard digits,
+    rounded up to a multiple of 10."""
+    return -(-(int(digits) + 25) // 10) * 10
+
+
 def _series_value(alpha, m, l, z, acc):
     n, peak = _plan(alpha, m, l, z, acc)
     digits = peak / _LN10
     # positive z: all-positive terms, no cancellation, only overflow to guard
     if digits <= (280.0 if z > 0.0 else _DOUBLE_DIGITS):
         return _sum(_gamma_table(alpha, m, l, n)[1][:n], z, acc)
-    # digits rounded up to a multiple of 10 so nearby arguments share a table
-    dps = -(-(int(digits) + 25) // 10) * 10
+    dps = _dps(digits)
+    if z < 0.0:
+        # one table per parameter set, at the precision of its edge
+        dps = max(dps, _edge(alpha, m, l, acc)[1])
     ratios, frac = _fixed_ratios(alpha, m, l, dps, n)
     return _fixed_sum(ratios[:n], frac, z, acc)
 
 
-# }}}
-
-
-# {{{ bound-anchored surrogate for deep negative arguments
-
-def _geomean(alpha, m, z):
-    b = kilbas_saigo_bounds(alpha, m, z)
-    return math.sqrt(b.lower * b.upper)
-
-
 @functools.lru_cache(maxsize=None)
-def _seam(params, acc):
-    """(z0, scale) anchoring the surrogate branch to the series.
-
-    z0 is the largest |z| <= cutoff at which the series is still summable
-    within the budget; scale matches the surrogate to the series there, so
-    the evaluated function stays continuous and inside the two-sided
-    bounds for every z < -z0.
+def _edge(alpha, m, l, acc):
+    """(z0, dps): z0 is the largest |z| <= cutoff at which the series is
+    still summable within the budget on the negative axis, dps the working
+    precision there.  Peak term and term count grow with |z|, so dps covers
+    every negative argument up to z0.
     """
-    alpha, m, l = params.alpha, params.m, params.l
     z0 = _SERIES_CUTOFF
     for _ in range(40):
         try:
@@ -306,6 +313,28 @@ def _seam(params, acc):
             z0 = mid
         except NonConvergence:
             hi = mid
+    return z0, _dps(_plan(alpha, m, l, -z0, acc)[1] / _LN10)
+
+
+# }}}
+
+
+# {{{ bound-anchored surrogate for deep negative arguments
+
+def _geomean(alpha, m, z):
+    b = kilbas_saigo_bounds(alpha, m, z)
+    return math.sqrt(b.lower * b.upper)
+
+
+@functools.lru_cache(maxsize=None)
+def _seam(params, acc):
+    """(z0, scale) anchoring the surrogate branch to the series at the
+    feasibility edge z0 of _edge; scale matches the surrogate to the series
+    there, so the evaluated function stays continuous and inside the
+    two-sided bounds for every z < -z0.
+    """
+    alpha, m, l = params.alpha, params.m, params.l
+    z0 = _edge(alpha, m, l, acc)[0]
     return z0, _series_value(alpha, m, l, -z0, acc) / _geomean(alpha, m, z0)
 
 
@@ -341,11 +370,15 @@ def mittag_leffler(alpha: float, beta: float, z: float,
     Summed by the Kilbas-Saigo engine with m = 1, l = (beta-1)/alpha.  For
     z < -10 the classical algebraic tail -sum_{k=1..5} z^{-k}/G(beta-alpha k)
     replaces the series (which is hopeless there in finite precision).
+    At alpha = beta = 1 negative arguments return e^z.
     """
     if not (alpha > 0 and beta > 0):
         raise DomainError("mittag_leffler requires alpha > 0 and beta > 0")
     if z == 0.0:
         return 1.0 / math.gamma(beta)
+    if alpha == beta == 1.0 and z < 0.0:
+        # the tail below vanishes term by term at beta = 1
+        return math.exp(z)
     if z < -10.0:
         return -sum(z ** (-k) * rgamma(beta - alpha * k) for k in range(1, 6))
     return (_series_value(alpha, 1.0, (beta - 1.0) / alpha, z, acc)

@@ -106,6 +106,19 @@ def test_apply_shape_checks():
         op.apply(np.ones(7))
 
 
+def test_apply_serves_several_arrays_in_one_pass():
+    # one pass over the weight rows gives each array the bits of its own call
+    op = CaputoL1Operator(TimeGrid(5.0, 3 * fracode._BLOCK + 7, 2.0), 0.4)
+    rng = np.random.default_rng(7)
+    scalar = rng.standard_normal(op.grid.steps + 1)
+    field = rng.standard_normal((op.grid.steps + 1, 5))
+    d_scalar, d_field = op.apply(scalar, field)
+    assert np.array_equal(d_scalar, op.apply(scalar))
+    assert np.array_equal(d_field, op.apply(field))
+    with pytest.raises(GridMismatch):
+        op.apply(scalar, field[1:])
+
+
 def _per_row_march(op, u0, solve):
     """Step-by-step history, one weight-row product per step."""
     u0 = np.asarray(u0, dtype=float)

@@ -341,3 +341,79 @@ def test_big_float_sums_are_thread_safe(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert [results.get(i) for i in range(len(threads))] == [serial] * len(threads)
+
+
+def test_mittag_leffler_alpha_beta_one_is_exp():
+    # every term 1/G(beta - k) of the algebraic tail vanishes at beta = 1
+    for z in (-12.0, -50.0, -300.0):
+        assert mittag_leffler(1.0, 1.0, z) == math.exp(z)
+
+
+def _from_cold_caches(calls):
+    """Outcomes of the calls, made in order from empty series caches."""
+    specfun._RATIO_CACHE = {}
+    specfun._edge.cache_clear()
+    specfun._seam.cache_clear()
+    return {c[-1]: _outcome(*c) for c in calls}
+
+
+@settings(deadline=None, database=None, max_examples=15)
+@given(alpha=st.floats(0.3, 0.95), beta=st.floats(0.05, 1.0),
+       decay=st.booleans(),
+       zs=st.lists(st.floats(-10.0, -1.0), min_size=2, max_size=6,
+                   unique=True))
+def test_values_do_not_depend_on_call_order(alpha, beta, decay, zs):
+    # each value is a function of (parameters, z, acc): from cold caches,
+    # ascending and descending |z| give the same bits
+    if decay:
+        m = 1.0 + beta / alpha
+        p = KilbasSaigoParams(alpha, m, m - 1.0)
+        calls = [(kilbas_saigo, p, z) for z in sorted(zs, reverse=True)]
+    else:
+        calls = [(mittag_leffler, alpha, 1.0 + beta, z)
+                 for z in sorted(zs, reverse=True)]
+    saved = specfun._RATIO_CACHE
+    try:
+        ascending = _from_cold_caches(calls)
+        descending = _from_cold_caches(calls[::-1])
+    finally:
+        specfun._RATIO_CACHE = saved
+    assert ascending == descending
+
+
+def test_one_fixed_point_table_per_parameter_set(monkeypatch):
+    # ascending mid-band arguments share the table sized at the set's edge
+    monkeypatch.setattr(specfun, "_RATIO_CACHE", {})
+    p = KilbasSaigoParams(alpha=0.45, m=2.0, l=1.0)
+    for z in np.linspace(1.5, 10.0, 18):
+        kilbas_saigo(p, -z)
+        try:
+            mittag_leffler(0.6, 1.0, -z)
+        except NonConvergence:
+            pass
+    fixed = [k[:3] for k in specfun._RATIO_CACHE if len(k) == 4]
+    assert sorted(fixed) == [(0.45, 2.0, 1.0), (0.6, 1.0, 0.0)]
+
+
+def test_m_one_table_takes_one_gamma_per_term(monkeypatch):
+    # G(x_j + a) = G(x_{j+1}): n ratios from n + 1 Gammas, also when the
+    # table is extended, and equal to the two-Gamma ratios at dps digits
+    monkeypatch.setattr(specfun, "_RATIO_CACHE", {})
+    ctx = specfun._mp_context(60)
+    gamma, calls = ctx.gamma, []
+
+    def counted(x):
+        calls.append(x)
+        return gamma(x)
+
+    monkeypatch.setattr(ctx, "gamma", counted)
+    alpha, l = 0.45, 0.5
+    table, frac = specfun._fixed_ratios(alpha, 1.0, l, 60, 100)
+    assert (len(table), len(calls)) == (100, 101)
+    table, frac = specfun._fixed_ratios(alpha, 1.0, l, 60, 150)
+    assert (len(table), len(calls)) == (150, 151)
+    a = ctx.mpf(alpha)
+    for j in (0, 99, 100, 149):
+        x = a * (j + ctx.mpf(l)) + 1
+        ref = gamma(x) / gamma(x + a)
+        assert abs(ctx.mpf(table[j]) / 2 ** frac - ref) <= 1e-55 * ref
