@@ -258,8 +258,7 @@ def _cmd_decay_fit(args):
     names, cols = io.read_csv_columns(args.input)
     if len(names) < 2:
         raise ConfigError(f"{args.input}: need at least two columns")
-    t = cols[names[0]]
-    e = cols[names[1]]
+    t, e = cols[names[0]], cols[names[1]]
     if args.exponent is not None:
         rep = decayfit.check_envelope(t, e, args.exponent,
                                       two_sided=not args.one_sided,
@@ -267,9 +266,8 @@ def _cmd_decay_fit(args):
         print(f"verdict: {rep.verdict}")
         print(f"  fitted_exponent  {rep.fitted_exponent:.6g}")
         print(f"  window           [{rep.window[0]:.6g}, {rep.window[1]:.6g}]")
-        print(f"  residual_rms     {rep.residual_rms:.6g}")
-        print(f"  envelope_lower   {rep.envelope_lower:.6g}")
-        print(f"  envelope_upper   {rep.envelope_upper:.6g}")
+        for k in ("residual_rms", "envelope_lower", "envelope_upper"):
+            print(f"  {k:<16} {getattr(rep, k):.6g}")
         print(f"  notes            {rep.notes}")
         return _VERDICT_EXIT[rep.verdict]
     fm = decayfit.fit_model_select(t, e, window=args.window)
@@ -322,19 +320,14 @@ def build_parser():
 
     g = top.add_parser("specfun").add_subparsers(dest="verb", required=True)
     s = g.add_parser("eval")
-    s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--m", type=float, required=True)
-    s.add_argument("--l", type=float, required=True)
-    s.add_argument("--z", type=float, required=True)
+    for name in ("--alpha", "--m", "--l", "--z"):
+        s.add_argument(name, type=float, required=True)
     s.set_defaults(func=_cmd_specfun_eval)
 
     g = top.add_parser("ode").add_subparsers(dest="verb", required=True)
     s = g.add_parser("solve")
-    s.add_argument("--alpha", type=float, required=True)
-    s.add_argument("--beta", type=float, required=True)
-    s.add_argument("--delta", type=float, required=True)
-    s.add_argument("--nu", type=float, required=True)
-    s.add_argument("--h0", type=float, required=True)
+    for name in ("--alpha", "--beta", "--delta", "--nu", "--h0"):
+        s.add_argument(name, type=float, required=True)
     s.add_argument("--T", type=float, default=100.0)
     s.add_argument("--steps", type=int, default=1024)
     s.add_argument("--grading", type=float, default=0.0)

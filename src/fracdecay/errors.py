@@ -22,7 +22,7 @@ class GridMismatch(FracdecayError):
 
 
 class RootSolveFailure(FracdecayError):
-    """The per-step scalar root solve could not be bracketed or converged."""
+    """A per-step scalar root solve got step data with no positive root."""
 
 
 class QuadratureUnderResolved(FracdecayError):

@@ -18,7 +18,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, GridMismatch, RootSolveFailure
 
@@ -180,34 +179,55 @@ class SemilinearParams:
             raise DomainError("nu, delta, H0 must all be positive")
 
 
+def _step_root(c, delta, rhs):
+    """Root in [0, rhs] of the increasing f(w) = w + c w^delta - rhs.
+
+    Newton bisects whenever it leaves the bracket, and an overflowing
+    c w^delta counts as f > 0.  A double residual moves the root by up to
+    1/delta ulps, so the last Newton step takes it in extended precision."""
+    try:  # min(rhs, (rhs/c)^(1/delta)) bounds the root from above
+        w = math.exp((math.log(rhs) - math.log(c)) / delta) or math.ulp(0.0)
+    except (OverflowError, ValueError):  # above every float, or c = 0
+        w = rhs
+    lo, hi, w = 0.0, rhs, min(w, rhs)
+    k = min(1.0, 1.0 / delta)  # k w f'(w) <= w + c w^delta: no overflow
+    while True:
+        try:
+            b = c * w ** delta
+        except OverflowError:  # w^delta overflows; c w^delta need not
+            e = math.log(c) + delta * math.log(w)
+            b = math.exp(e) if e <= 709.782712893384 else math.inf  # log(max)
+        f = w + b - rhs
+        lo, hi = (w, hi) if f < 0.0 else (lo, w)
+        d = k * w + k * delta * b  # bisect once c w^delta overflows
+        new = w - f / d * (k * w) if d < math.inf else math.nan
+        if new != w and not lo < new < hi:
+            new = lo + 0.5 * (hi - lo)
+        if not lo < new < hi:  # converged, or two adjacent floats
+            break
+        w = new
+    x = np.longdouble(w)
+    b = c * x ** delta
+    return min(max(float(x - (x + b - rhs) / (x + delta * b) * x), 0.0), rhs)
+
+
 def solve_semilinear(params: SemilinearParams, alpha: float,
                      grid: TimeGrid) -> ScalarTrace:
-    """Implicit L1 step with a per-step monotone scalar root solve.
-
-    Each step reduces to  w + c w^delta = rhs  with c > 0, whose left side
-    is strictly increasing on w >= 0, so a bracketed solve on [0, rhs]
-    cannot fail as long as rhs stays positive.  At alpha = 1 the L1
-    weights reduce to backward Euler.
-    """
+    """Implicit L1 steps, each the root of  w + c w^delta = rhs  (c > 0) on
+    [0, rhs] to about an ulp; it exists while rhs stays positive.  At
+    alpha = 1 the L1 weights reduce to backward Euler."""
     op = CaputoL1Operator(grid, alpha)
     if params.beta <= -alpha:
         raise DomainError("require beta > -alpha")
     t = grid.nodes
     nu, delta, beta = params.nu, params.delta, params.beta
 
-    def step(c, rhs):
-        if rhs <= 0.0:
-            raise RootSolveFailure(
-                "nonpositive step data; refine the mesh near t = 0"
-            )
-        f = lambda w: w + c * w ** delta - rhs
-        try:
-            return brentq(f, 0.0, rhs, xtol=1e-14 * max(1.0, rhs), maxiter=200)
-        except ValueError as exc:
-            raise RootSolveFailure(str(exc)) from exc
-
     def solve(n, ann, hist, prev):
-        return step(nu * t[n] ** beta / ann, prev - hist / ann)
+        rhs = float(prev - hist / ann)
+        if not 0.0 < rhs < math.inf:
+            raise RootSolveFailure("step data not positive and finite; "
+                                   "refine the mesh near t = 0")
+        return _step_root(float(nu * t[n] ** beta / ann), delta, rhs)
 
     return ScalarTrace(times=t, values=op.march(params.H0, solve))
 
@@ -238,7 +258,7 @@ def lemma_envelope(params: SemilinearParams, alpha: float):
         t = np.asarray(t, dtype=float)
         out = np.empty_like(t)
         early = t <= t1
-        out[early] = H0 - nu * g1 * H0 ** delta * t[early] ** ab
+        out[early] = H0 * (1.0 - 0.5 * (t[early] / t1) ** ab)  # no H0^delta
         out[~early] = amp * t[~early] ** (-ab / delta)
         return out
 

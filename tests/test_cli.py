@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +46,35 @@ def test_ode_solve_writes_envelope_columns(tmp_path, capsys):
     assert names == ["t", "H", "sub_envelope", "super_envelope"]
     inner = slice(1, None)
     assert np.all(cols["H"][inner] <= cols["super_envelope"][inner] * (1 + 1e-9))
+
+
+def test_ode_solve_large_data_keeps_the_exact_root(tmp_path):
+    # the first step's root is 1.0660681694172987e19; an absolute root
+    # tolerance of 1e-14 * rhs once returned 0 at every step here
+    assert run("--out", str(tmp_path), "ode", "solve", "--alpha", "0.5",
+               "--beta", "0.5", "--delta", "3", "--nu", "1",
+               "--h0", "1e50") == 0
+    _, cols = read_csv_columns(str(tmp_path / "ode_trace.csv"))
+    assert np.all(cols["H"] > 0)
+    assert cols["H"][1] == pytest.approx(1.0660681694172987e19, rel=1e-12)
+
+
+def test_ode_solve_huge_data_neither_raises_nor_warns(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run("--out", str(tmp_path), "ode", "solve", "--alpha", "0.5",
+                 "--beta", "0.5", "--delta", "3", "--nu", "1",
+                 "--h0", "1e110")
+    assert rc in {0} | {code for _, _, code in cli._ERRORS}
+
+
+def test_import_does_not_load_scipy_optimize():
+    code = ("import sys, fracdecay, fracdecay.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_subdiffusion_solve_and_fit_pipeline(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import math
+import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracdecay import fracode
@@ -231,6 +234,49 @@ def test_semilinear_delta_one_is_linear_mode(alpha, beta, nu):
         expected = np.zeros(n)
         expected[-1] = 1.0 / h[n - 1]
         assert np.array_equal(op.weights_row(n), expected)
+
+
+_MP = mpmath.MPContext()
+_MP.dps = 50
+
+
+def _mp_step_root(c, delta, rhs):
+    """50-digit root of w + c w^delta = rhs, solved for x = log w."""
+    C, D, L = _MP.mpf(c), _MP.mpf(delta), _MP.log(rhs)
+    top = min(L, (L - _MP.log(C)) / D)  # the larger term alone reaches rhs
+
+    def g(x):
+        return _MP.log(_MP.exp(x) + C * _MP.exp(D * x)) - L
+
+    return _MP.exp(_MP.findroot(g, (top - 4, top), solver="anderson"))
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(c=_decades(-12, 12), delta=st.floats(0.2, 5.0), rhs=_decades(-200, 200))
+@example(c=1e-12, delta=0.2, rhs=1e200)  # (rhs/c)^(1/delta) above every float
+@example(c=1e12, delta=0.2, rhs=1e-200)  # the root underflows to 0
+@example(c=1e-300, delta=5.0, rhs=1.7e308)  # w^delta overflows, c w^delta not
+def test_step_root_is_the_exact_root(c, delta, rhs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = fracode._step_root(c, delta, rhs)
+    assert 0.0 <= w <= rhs
+    exact = _mp_step_root(c, delta, rhs)
+    assert abs(_MP.mpf(w) - exact) <= 2 * math.ulp(float(exact))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(c=_decades(-12, 12), rhs=_decades(-200, 200))
+def test_step_root_at_delta_one_is_the_quotient(c, rhs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = fracode._step_root(c, 1.0, rhs)
+    exact = float(Fraction(rhs) / (1 + Fraction(c)))  # correctly rounded
+    assert abs(w - exact) <= math.ulp(exact)
 
 
 def test_envelopes_continuous_and_ordered():
