@@ -248,25 +248,34 @@ def lemma_envelope(params: SemilinearParams, alpha: float):
     g1 = math.gamma(1.0 - alpha)
     g2 = math.gamma(2.0 - alpha)
 
-    t1 = (H0 ** (1.0 - delta) / (2.0 * nu * g1)) ** (1.0 / ab)
-    amp = (H0 ** (1.0 - delta) / (2.0 * nu * g1)) ** (1.0 / delta) * 0.5 * H0
-    t2 = ((H0 ** (1.0 - delta) / nu)
-          * (2.0 ** alpha / g1
-             + (ab / delta) * 2.0 ** (alpha + ab / delta) / g2)) ** (1.0 / ab)
+    # Logarithms throughout: H0^(1-delta), t1, t2 and the amplitudes leave
+    # the float range for extreme H0.  l1 = log t1^(a+b), l2 = log t2^(a+b),
+    # and lsub, lsup are the logs of the tails' factors of t^(-(a+b)/delta).
+    lh = math.log(H0)
+    l1 = (1.0 - delta) * lh - math.log(2.0 * nu * g1)
+    l2 = (1.0 - delta) * lh - math.log(nu) + float(np.logaddexp(
+        alpha * math.log(2.0) - math.log(g1),
+        math.log(ab / delta) + (alpha + ab / delta) * math.log(2.0)
+        - math.log(g2)))
+    with np.errstate(over="ignore", under="ignore"):  # t1, t2 may be 0 or inf
+        t1, t2 = (float(x) for x in np.exp([l1 / ab, l2 / ab]))
+    t1 = max(t1, math.ulp(0.0))  # keeps sub(0) = H0 when t1 underflows
+    lsub = l1 / delta + math.log(0.5) + lh
+    lsup = l2 / delta + lh
 
     def sub(t):
         t = np.asarray(t, dtype=float)
         out = np.empty_like(t)
         early = t <= t1
         out[early] = H0 * (1.0 - 0.5 * (t[early] / t1) ** ab)  # no H0^delta
-        out[~early] = amp * t[~early] ** (-ab / delta)
+        out[~early] = np.exp(lsub - ab / delta * np.log(t[~early]))
         return out
 
     def sup(t):
         t = np.asarray(t, dtype=float)
         out = np.full_like(t, H0)
         late = t > t2
-        out[late] = H0 * t2 ** (ab / delta) * t[late] ** (-ab / delta)
+        out[late] = np.exp(lsup - ab / delta * np.log(t[late]))
         return out
 
     sub.switch_time = t1

@@ -7,6 +7,14 @@ conservative flux form at half-points, the degenerate one as f(u) times
 the three-point Laplacian.  Time stepping freezes the nonlinear
 coefficient at the previous iterate, so every step is one (or a few)
 tridiagonal solves; the Caputo history stays explicit.
+
+Each solve allocates its step system once: a (4, M) array of the super-,
+main and subdiagonal rows and the right-hand side, which LAPACK gtsv
+solves in place, and M-sized buffers for the half-point coefficient, the
+source term, the current iterate and the residual.  a(t_n) is evaluated
+on all nodes at once, and a_nn u_{n-1} - hist once per step; each sweep
+only writes into these buffers.  The Laplace band is constant in u, and
+a single sweep computes no residual.
 """
 
 from __future__ import annotations
@@ -103,31 +111,41 @@ def predict_exponent(spec: OperatorSpec, alpha: float, beta: float) -> float:
     return s
 
 
-def _half_gradient(u, h):
-    """Du at the M+1 half-points, boundary values zero outside."""
-    ue = np.concatenate([[0.0], u, [0.0]])
-    return np.diff(ue) / h
-
-
-def _half_coefficient(spec: OperatorSpec, u, h):
-    """Diffusion coefficient d at half-points for flux-form operators."""
+def _half_coefficient(spec: OperatorSpec, u, h, out=None):
+    """Diffusion coefficient d at the M+1 half-points for flux-form
+    operators, written into ``out`` if given."""
+    if spec.kind == "degenerate":
+        raise DomainError(f"{spec.kind} has no flux form")
+    out = np.empty(len(u) + 1) if out is None else out
     if spec.kind == "laplace":
-        return np.ones(len(u) + 1)
-    Du = _half_gradient(u, h)
-    if spec.kind == "p_laplace":
-        return np.abs(Du) ** (spec.p - 2.0) if spec.p >= 2.0 \
-            else (np.abs(Du) + 1e-14) ** (spec.p - 2.0)
+        out.fill(1.0)
+        return out
+    # boundary values are zero outside, so u_0 = u_{M+1} = 0 below
     if spec.kind == "porous_medium":
-        ue = np.concatenate([[0.0], u, [0.0]])
-        return spec.c0 * np.abs(0.5 * (ue[:-1] + ue[1:])) ** spec.m
+        np.add(u[:-1], u[1:], out=out[1:-1])
+        out[0], out[-1] = 0.0 + u[0], u[-1] + 0.0
+        out *= 0.5
+        np.abs(out, out=out)
+        out **= spec.m
+        out *= spec.c0
+        return out
+    np.subtract(u[1:], u[:-1], out=out[1:-1])  # Du
+    out[0], out[-1] = u[0] - 0.0, 0.0 - u[-1]
+    out /= h
     if spec.kind == "mean_curvature":
-        return 1.0 / np.sqrt(1.0 + Du ** 2)
+        out **= 2
+        out += 1.0
+        np.sqrt(out, out=out)
+        return np.divide(1.0, out, out=out)
+    np.abs(out, out=out)
     if spec.kind == "kirchhoff":
-        s = (h * np.sum(np.abs(Du) ** 2.0)) ** (1.0 / 2.0)
-        base = np.abs(Du) ** (spec.p - 2.0) if spec.p >= 2.0 \
-            else (np.abs(Du) + 1e-14) ** (spec.p - 2.0)
-        return s ** spec.gamma * base
-    raise DomainError(f"{spec.kind} has no flux form")
+        s = (h * np.sum(out ** 2.0)) ** (1.0 / 2.0)
+    if spec.p < 2.0:
+        out += 1e-14
+    out **= spec.p - 2.0
+    if spec.kind == "kirchhoff":
+        out *= s ** spec.gamma
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,57 +181,93 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
     h = grid.h
     h2 = h ** 2
     t = tgrid.nodes
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = coeff.value(t)  # a(0) is inf for beta < 0; node 0 is never read
     op = CaputoL1Operator(tgrid, alpha)
     porous_guard = spec.kind == "porous_medium" and (u0 >= 0.0).all()
-    ab = np.zeros((3, M))  # band rows: super-, main and subdiagonal
+    # One step system per solve, which each sweep writes into: the super-,
+    # main and subdiagonal rows and the right-hand side.  The corners
+    # system[0, 0] and system[2, -1] stay zero.
+    system = np.zeros((4, M))
+    up, main, low, rhs = system[0, 1:], system[1], system[2, :-1], system[3]
+    d = np.empty(M + 1)   # half-point coefficient, or f(u) in d[:M]
+    f = d[:M]
+    base = np.empty(M)    # a_nn u_{n-1} - hist, once per step
+    src = np.empty(M)     # source term at the current iterate
+    cur = np.empty(M)     # the iterate the next sweep freezes at
+    work = np.empty(M)     # residual and scale
 
     def solve(n, ann, hist, prev):
-        an = float(coeff.value(t[n]))
+        an = float(a[n])
+        np.multiply(prev, ann, out=base)
+        np.subtract(base, hist, out=base)
         ustar = prev
-        unew = ustar
         res_prev = math.inf
-        for sweep in range(sweeps):
-            # A zero source term is the scalar 0.0.  Adding it (or, below,
-            # subtracting from it) rounds and signs zeros exactly as an
-            # all-zero array would, so no such array is built.
-            diag_src = rhs_src = 0.0
+        for _ in range(sweeps):
+            # A zero source leaves diag = ann > 0 and adds the scalar 0.0 to
+            # the right-hand side, which rounds and signs zeros exactly as
+            # an all-zero array would, so no such array is built.
+            diag = ann
+            rhs_src = 0.0
             if source.kind == "fisher_kpp":
-                diag_src = 1.0
-                rhs_src = ustar ** 2
+                diag = ann + 1.0
+                rhs_src = np.square(ustar, out=src)
             elif source.kind == "power_absorption":
+                # ** keeps NumPy's exact shortcuts (p = 2 squares)
+                s = np.abs(ustar, out=src)
+                s **= source.p
+                s *= source.mu
                 if source.mu >= 0:
-                    diag_src = source.mu * np.abs(ustar) ** source.p
+                    diag = np.add(s, ann, out=s)
                 else:
-                    rhs_src = 0.0 - source.mu * np.abs(ustar) ** source.p * ustar
+                    s *= ustar
+                    rhs_src = np.subtract(0.0, s, out=s)
+            np.add(base, rhs_src, out=rhs)
 
-            rhs = ann * prev - hist + rhs_src
-            if spec.kind == "degenerate":
-                fv = np.abs(ustar) ** spec.q
-                ab[0, 1:] = -an * fv[:-1] / h2
-                ab[1] = ann + diag_src + 2.0 * an * fv / h2
-                ab[2, :-1] = -an * fv[1:] / h2
+            if spec.kind == "laplace":
+                # d = 1: the rows below with d dropped, rounded the same
+                up.fill(-an / h2)
+                low.fill(-an / h2)
+                main.fill(2.0 * an)
+            elif spec.kind == "degenerate":
+                fv = np.abs(ustar, out=f)
+                fv **= spec.q
+                np.multiply(fv[:-1], -an, out=up)
+                np.divide(up, h2, out=up)
+                np.multiply(fv[1:], -an, out=low)
+                np.divide(low, h2, out=low)
+                np.multiply(fv, 2.0 * an, out=main)
             else:
-                d = _half_coefficient(spec, ustar, h)
-                ab[0, 1:] = ab[2, :-1] = -an * d[1:-1] / h2
-                ab[1] = ann + diag_src + an * (d[:-1] + d[1:]) / h2
-            if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+                _half_coefficient(spec, ustar, h, out=d)
+                np.multiply(d[1:-1], -an, out=up)
+                np.divide(up, h2, out=up)
+                low[:] = up
+                np.add(d[:-1], d[1:], out=main)
+                np.multiply(main, an, out=main)
+            np.divide(main, h2, out=main)
+            np.add(main, diag, out=main)
+            if not np.isfinite(system).all():
                 raise NonFiniteState(f"non-finite step system at t = {t[n]:g}")
-            # LAPACK gtsv on the band rows; it overwrites ab and rhs
-            unew, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs,
-                               1, 1, 1, 1)[3:]
+            # LAPACK gtsv on the band rows; it overwrites them and rhs
+            unew, info = dgtsv(low, main, up, rhs, 1, 1, 1, 1)[3:]
             if info != 0:
                 raise NonFiniteState(f"singular step matrix at t = {t[n]:g}")
             if not np.isfinite(unew).all():
                 raise NonFiniteState(f"non-finite state at t = {t[n]:g}")
-            res = float(np.abs(unew - ustar).max())
-            ustar = unew
-            if res < 1e-10 * max(1.0, float(np.abs(unew).max())):
+            if sweeps == 1:
+                break  # neither residual test below can act on one sweep
+            np.subtract(unew, ustar, out=work)
+            res = float(np.abs(work, out=work).max())
+            scale = float(np.abs(unew, out=work).max())
+            if res < 1e-10 * max(1.0, scale):
                 break
             if res > 10.0 * res_prev:
                 raise StepDivergence(
                     f"fixed-point residual grows at t = {t[n]:g}"
                 )
             res_prev = res
+            cur[:] = unew  # the next sweep overwrites unew
+            ustar = cur
         if porous_guard and float(unew.min()) < -1e-10:
             raise PositivityLoss(f"negative state at t = {t[n]:g}")
         return unew

@@ -286,14 +286,15 @@ def _sources(draw):
                                   "kirchhoff"])
 @settings(max_examples=30, deadline=None, database=None)
 @given(data=st.data(), source=_sources(),
-       alpha=st.floats(0.3, 0.9), beta=st.floats(0.0, 1.0),
-       M=st.integers(3, 15), N=st.integers(1, 24),
+       alpha=st.floats(0.3, 0.9), M=st.integers(3, 15), N=st.integers(1, 24),
        grading=st.floats(1.0, 3.0), sweeps=st.integers(1, 3),
        modes=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
        signed_zeros=st.booleans())
 def test_step_is_bit_identical_to_plain_reference(kind, data, source, alpha,
-                                                  beta, M, N, grading, sweeps,
-                                                  modes, signed_zeros):
+                                                  M, N, grading, sweeps, modes,
+                                                  signed_zeros):
+    # beta < 0 makes a(0) infinite; the solver must neither read nor warn
+    beta = data.draw(st.floats(-alpha, 1.0, exclude_min=True))
     kw = {}
     if kind in ("p_laplace", "kirchhoff"):
         kw["p"] = data.draw(st.floats(1.5, 3.5))
