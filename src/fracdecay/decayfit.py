@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousFit, DegenerateTrace
+from .errors import AmbiguousFit, DegenerateTrace, DomainError
 
 ENERGY_FLOOR = 1e-14
 TAIL_DROP = 0.05  # share of the final samples left out of fit windows
@@ -53,6 +53,8 @@ def _valid(t, e):
 
 def _tail_window(t, decades):
     """Indices of the last `decades` decades of t, final 5% excluded."""
+    if not 0.0 < decades < math.inf:
+        raise DomainError(f"fit window {decades!r} is not positive and finite")
     n = len(t)
     keep = max(10, int(math.floor(n * (1.0 - TAIL_DROP))))
     t_hi = t[keep - 1]
@@ -151,8 +153,8 @@ def check_envelope(times, energies, exponent: float, two_sided: bool = True,
     values of ``fit_power_tail``; with fewer than 10 points in it they are
     NaN and the slope counts as 0.
     """
-    if exponent <= 0:
-        raise DegenerateTrace("envelope exponent must be positive")
+    if not 0.0 < exponent < math.inf:
+        raise DegenerateTrace("envelope exponent not positive and finite")
     t, e = _valid(times, energies)
     if len(t) < 10:
         return DecayReport(verdict="degenerate", notes="zero or underflowed trace")

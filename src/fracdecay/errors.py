@@ -10,7 +10,7 @@ class DomainError(FracdecayError):
 
 
 class InadmissibleParams(FracdecayError):
-    """Kilbas-Saigo indices hit a pole of the Gamma ratios."""
+    """Kilbas-Saigo indices not finite, or at a Gamma-ratio pole."""
 
 
 class NonConvergence(FracdecayError):

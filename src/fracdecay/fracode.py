@@ -72,8 +72,10 @@ class TimeGrid:
             raise DomainError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise DomainError("need at least one step")
-        if self.grading < 1.0:
-            raise DomainError("grading exponent must be >= 1")
+        if not 1.0 <= self.grading < math.inf:
+            raise DomainError("grading exponent must be >= 1 and finite")
+        if not np.all(np.diff(self.nodes) > 0.0):
+            raise DomainError("grading makes nodes near t = 0 coincide")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -117,12 +119,6 @@ class CaputoL1Operator:
         p = np.maximum(d, 0.0, out=d) ** (1.0 - self.alpha)  # 0 for k >= n
         return np.divide(p[:, :-1] - p[:, 1:], self._g2h[start:n1], out=out)
 
-    def weights_row(self, n: int, out=None) -> np.ndarray:
-        """Weights a_{n,1..n} at node t_n, written into ``out`` if given."""
-        out = np.empty(n) if out is None else out
-        self._weights(n - 1, n, 0, out[None])
-        return out
-
     def apply(self, *samples: np.ndarray):
         """Discrete D^a of per-node samples; values at t_1..t_N.
 
@@ -139,11 +135,10 @@ class CaputoL1Operator:
                 )
         dus = [np.diff(s, axis=0) for s in samples]
         outs = [np.empty_like(du) for du in dus]
-        W = np.zeros((min(_BLOCK, N), N))  # rows stay zero past their end
+        W = np.empty((min(_BLOCK, N), N))
         for n0 in range(0, N, _BLOCK):
             n1 = min(n0 + _BLOCK, N)
-            for n, row in zip(range(n0 + 1, n1 + 1), W):
-                self.weights_row(n, out=row[:n])
+            self._weights(n0, n1, 0, W[:n1 - n0, :n1])  # 0 past a row's end
             for du, out in zip(dus, outs):
                 out[n0:n1] = W[:n1 - n0, :n1] @ du[:n1]
         return outs[0] if len(outs) == 1 else tuple(outs)

@@ -62,6 +62,8 @@ def read_csv_columns(path: str):
     if not lines:
         raise ConfigError(f"{path}: empty file")
     names = lines[0].split(",")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{path}: repeated column name in {lines[0]!r}")
     data = {n: [] for n in names}
     for ln in lines[1:]:
         parts = ln.split(",")

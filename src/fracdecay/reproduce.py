@@ -87,10 +87,12 @@ def check_bound_sandwich() -> CriterionResult:
 @functools.lru_cache(maxsize=2)
 def _decay_profile(steps):
     """E_{0.5,2,1}(-t) at the nodes t >= 0.1 of TimeGrid(10, steps, 3), the
-    closed form of the L1 and the cross-solver check; evaluated once."""
+    closed form of the L1 and the cross-solver check; evaluated once, as
+    the first Dirichlet mode on (0, pi), lam_1 = 1, of the spectral solver."""
     t = TimeGrid(10.0, steps, 3.0).nodes
-    p = KilbasSaigoParams(alpha=0.5, m=2.0, l=1.0)
-    return tuple(kilbas_saigo(p, -x) for x in t[t >= 0.1])  # read-only
+    sysD = spectral.interval_eigensystem(math.pi, "dirichlet", 1)
+    tr = spectral.solve_subdiffusion(sysD, 0.5, 0.5, [1.0], t[t >= 0.1])
+    return tuple(tr.coeffs[0])  # read-only
 
 
 def check_l1_vs_closed_form(steps=4096) -> CriterionResult:

@@ -192,6 +192,11 @@ def _fixed_ratios(alpha, m, l, dps, n):
     return table, frac
 
 
+def _floor(acc):
+    """Log magnitude below which a term counts as quiet in _plan."""
+    return math.log(max(acc.abs_tol, 1e-280)) - 2.0 * _LN10
+
+
 def _plan(alpha, m, l, z, acc):
     """Log-space walk of the term magnitudes.
 
@@ -200,7 +205,7 @@ def _plan(alpha, m, l, z, acc):
     max_terms cannot push the tail below the target.
     """
     logz = math.log(abs(z))
-    floor = math.log(max(acc.abs_tol, 1e-280)) - 2.0 * _LN10
+    floor = _floor(acc)
     logcs = _gamma_table(alpha, m, l, acc.max_terms)[0]
     peak = 0.0
     quiet = 0
@@ -290,29 +295,20 @@ def _series_value(alpha, m, l, z, acc):
 def _edge(alpha, m, l, acc):
     """(z0, dps): z0 is the largest |z| <= cutoff at which the series is
     still summable within the budget on the negative axis, dps the working
-    precision there.  Peak term and term count grow with |z|, so dps covers
-    every negative argument up to z0.
+    precision there.
+
+    _plan stops at three consecutive quiet terms, and term k is quiet
+    while log|z| < q_k = (floor - log|c_k|)/k.  So the series is summable
+    exactly for log|z| below max_k min(q_{k-2}, q_{k-1}, q_k), which the
+    log-ratio column of _gamma_table gives in one pass; z0 sits 1e-9
+    (relative) inside that edge.  Peak term and term count grow with |z|,
+    so dps covers every negative argument up to z0.
     """
-    z0 = _SERIES_CUTOFF
-    for _ in range(40):
-        try:
-            _plan(alpha, m, l, -z0, acc)
-            break
-        except NonConvergence:
-            z0 *= 0.5
-    else:
-        raise NonConvergence("series infeasible even near z = 0")
-    # push z0 back up toward the feasibility edge
-    hi = min(2.0 * z0, _SERIES_CUTOFF)
-    for _ in range(25):
-        mid = 0.5 * (z0 + hi)
-        if mid <= z0 * (1 + 1e-6):
-            break
-        try:
-            _plan(alpha, m, l, -mid, acc)
-            z0 = mid
-        except NonConvergence:
-            hi = mid
+    floor, n = _floor(acc), acc.max_terms
+    logcs = _gamma_table(alpha, m, l, n)[0][:n]
+    q = [(floor - c) / k for k, c in enumerate(logcs, 1)]
+    edge = min(max(map(min, q, q[1:], q[2:])), 3.0)  # e^3 > cutoff
+    z0 = min(_SERIES_CUTOFF, math.exp(edge) * (1.0 - 1e-9))
     return z0, _dps(_plan(alpha, m, l, -z0, acc)[1] / _LN10)
 
 

@@ -203,18 +203,22 @@ def test_decay_fit_violation_exit_code(tmp_path, capsys):
                "--exponent", "1", "--one-sided") == 3
 
 
-@pytest.mark.parametrize("argv", [
-    ["decay", "fit", "--input", "zero.csv", "--exponent", "1"],
-    ["subdiffusion", "solve", "--alpha", "0.5", "--u0", "0,0,0,0",
-     "--modes", "4"],
-], ids=["decay-fit", "subdiffusion-solve"])
-def test_decay_fit_degenerate_exit_code(tmp_path, monkeypatch, capsys, argv):
-    # a zero trace is `degenerate` with one exit status from every command
+@pytest.mark.parametrize("argv, stream", [
+    (["decay", "fit", "--input", "zero.csv", "--exponent", "1"], "out"),
+    (["subdiffusion", "solve", "--alpha", "0.5", "--u0", "0,0,0,0",
+      "--modes", "4"], "out"),
+    (["decay", "fit", "--input", "slow.csv", "--exponent", "nan"], "err"),
+], ids=["decay-fit", "subdiffusion-solve", "exponent-nan"])
+def test_decay_fit_degenerate_exit_code(tmp_path, monkeypatch, capsys, argv,
+                                        stream):
+    # a zero trace is `degenerate` with one exit status from every command,
+    # and so is an envelope exponent that is not positive and finite
     monkeypatch.chdir(tmp_path)
     t = np.logspace(-1, 3, 200)
     write_csv_atomic("zero.csv", ["t", "E"], [t, np.zeros_like(t)])
+    write_csv_atomic("slow.csv", ["t", "E"], [t, t ** -0.3])
     assert run("--out", str(tmp_path), *argv) == 4
-    assert "degenerate" in capsys.readouterr().out
+    assert "degenerate" in getattr(capsys.readouterr(), stream)
 
 
 def test_decay_fit_model_selection(tmp_path, capsys):
@@ -241,13 +245,33 @@ def test_decay_fit_model_selection(tmp_path, capsys):
      "--z", "-1"],
     ["specfun", "eval", "--alpha", "0.5", "--m", "2", "--l", "nan",
      "--z", "-1"],
+    # a window with no points in it would let any slope pass as 0
+    ["decay", "fit", "--input", "slow.dat", "--exponent", "1",
+     "--window", "0"],
+    ["decay", "fit", "--input", "slow.dat", "--exponent", "1",
+     "--window", "-1"],
+    ["decay", "fit", "--input", "slow.dat", "--exponent", "1",
+     "--window", "nan"],
+    ["decay", "fit", "--input", "repeat.dat", "--exponent", "1"],
+    ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "2",
+     "--nu", "1", "--h0", "1", "--grading", "nan"],
+    ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "2",
+     "--nu", "1", "--h0", "1", "--grading", "inf"],
+    ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "2",
+     "--nu", "1", "--h0", "1", "--grading", "200"],
+    ["nonlinear", "solve", "--grading", "inf"],
 ], ids=["bad-geometry", "bad-poly", "zero-poly-constant", "poly-sign-change",
         "missing-input", "undecodable-input", "sweep-T-inf", "T-nan",
-        "l-inf", "m-inf", "l-nan"])
+        "l-inf", "m-inf", "l-nan", "window-zero", "window-negative",
+        "window-nan", "repeated-column", "grading-nan", "grading-inf",
+        "grading-coinciding-nodes", "nonlinear-grading-inf"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inf.ini").write_text("[scan]\nT = inf\npoints = 15\n")
     (tmp_path / "binary.dat").write_bytes(b"\x89\xff\xfe\x00")
+    t = np.logspace(-1, 3, 200)
+    write_csv_atomic("slow.dat", ["t", "E"], [t, t ** -0.3])
+    write_csv_atomic("repeat.dat", ["t", "E", "E"], [t, 1.0 / t, 2.0 / t])
     assert run("--out", str(tmp_path), *argv) == 2
     assert not list(tmp_path.glob("*.csv"))
 

@@ -395,6 +395,22 @@ def test_one_fixed_point_table_per_parameter_set(monkeypatch):
     assert sorted(fixed) == [(0.45, 2.0, 1.0), (0.6, 1.0, 0.0)]
 
 
+@settings(deadline=None, database=None, max_examples=60)
+@given(alpha=st.floats(0.05, 1.0), m=st.floats(0.5, 5.0),
+       l=st.one_of(st.none(), st.floats(-0.5, 5.0)),
+       acc=st.sampled_from([specfun.DEFAULT_ACCURACY, TIGHT]))
+@example(alpha=0.1, m=1.5, l=None, acc=specfun.DEFAULT_ACCURACY)
+def test_edge_is_the_feasibility_edge(alpha, m, l, acc):
+    # z0 is summable, and below the cutoff 1e-8 past it is not (l = None
+    # stands for the decay form l = m - 1)
+    l = m - 1.0 if l is None else l
+    z0, _ = specfun._edge(alpha, m, l, acc)
+    specfun._plan(alpha, m, l, -z0, acc)
+    if z0 < specfun._SERIES_CUTOFF:
+        with pytest.raises(NonConvergence):
+            specfun._plan(alpha, m, l, -z0 * (1.0 + 1e-8), acc)
+
+
 def test_m_one_table_takes_one_gamma_per_term(monkeypatch):
     # G(x_j + a) = G(x_{j+1}): n ratios from n + 1 Gammas, also when the
     # table is extended, and equal to the two-Gamma ratios at dps digits
