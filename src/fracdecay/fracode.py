@@ -106,18 +106,20 @@ class CaputoL1Operator:
         self._h = np.diff(self._t)
         self._g2h = math.gamma(2.0 - alpha) * self._h
 
-    def _weights(self, n0: int, n1: int, start: int, out) -> np.ndarray:
-        """Weights a_{n,k} of the rows n = n0+1..n1 over k = start+1..n1,
-        written into ``out``, shape (n1 - n0, n1 - start); 0 for k > n."""
+    def _weights(self, n0: int, start: int, out) -> np.ndarray:
+        """Weights a_{n,k} of the rows n = n0+1..n1 over k = start+1..end,
+        written into ``out`` of shape (n1 - n0, end - start); 0 for k > n."""
+        n1, end = n0 + out.shape[0], start + out.shape[1]
         if self.alpha == 1.0:
             # (t_n - t_k)^(1-a) -> 1 for k < n but -> 0 for k = n
             out[...] = 0.0
-            i = np.arange(n1 - n0)
-            out[i, i + n0 - start] = 1.0 / self._h[n0:n1]
+            np.fill_diagonal(out[:, n0 - start:], 1.0 / self._h[n0:n1])
             return out
-        d = self._t[n0 + 1:n1 + 1, None] - self._t[start:n1 + 1]
-        p = np.maximum(d, 0.0, out=d) ** (1.0 - self.alpha)  # 0 for k >= n
-        return np.divide(p[:, :-1] - p[:, 1:], self._g2h[start:n1], out=out)
+        p = self._t[n0 + 1:n1 + 1, None] - self._t[start:end + 1]
+        np.maximum(p, 0.0, out=p)
+        p **= 1.0 - self.alpha  # 0 for k >= n; p is the one temporary
+        np.subtract(p[:, :-1], p[:, 1:], out=out)
+        return np.divide(out, self._g2h[start:end], out=out)
 
     def apply(self, *samples: np.ndarray):
         """Discrete D^a of per-node samples; values at t_1..t_N.
@@ -125,6 +127,7 @@ class CaputoL1Operator:
         Each array may be (N+1,) or (N+1, M) for M independent
         trajectories.  One pass over the weight rows serves every array;
         returns one result per array, or the result alone for one array.
+        Blocks go last to first, writing results over spent increments.
         """
         samples = [np.asarray(s, dtype=float) for s in samples]
         N = self.grid.steps
@@ -134,27 +137,27 @@ class CaputoL1Operator:
                     f"expected {N + 1} samples, got {s.shape[0]}"
                 )
         dus = [np.diff(s, axis=0) for s in samples]
-        outs = [np.empty_like(du) for du in dus]
-        W = np.empty((min(_BLOCK, N), N))
-        for n0 in range(0, N, _BLOCK):
+        W = np.empty((min(_BLOCK, N), N))  # rows are 0 past their end
+        for n0 in reversed(range(0, N, _BLOCK)):
             n1 = min(n0 + _BLOCK, N)
-            self._weights(n0, n1, 0, W[:n1 - n0, :n1])  # 0 past a row's end
-            for du, out in zip(dus, outs):
-                out[n0:n1] = W[:n1 - n0, :n1] @ du[:n1]
-        return outs[0] if len(outs) == 1 else tuple(outs)
+            for r0 in range(n0, n1, 8):  # up to 8 rows per temporary
+                self._weights(r0, 0, W[r0 - n0:n1 - n0, :n1][:8])
+            for du in dus:
+                du[n0:n1] = W[:n1 - n0, :n1] @ du[:n1]
+        return dus[0] if len(dus) == 1 else tuple(dus)
 
-    def march(self, u0, solve) -> np.ndarray:
+    def march(self, u0, solve):
         """Implicit L1 time stepping from u0, a scalar or an (M,) field.
 
         At each node t_n, n = 1..N, the scheme reads
         a_nn (u_n - u_{n-1}) + hist = (rest of the equation at t_n) with the
         explicit history hist = sum_{k<n} a_{n,k} (u_k - u_{k-1});
-        ``solve(n, a_nn, hist, u_{n-1})`` returns u_n.  Returns the nodal
-        values, shape (N+1,) or (N+1, M).
+        ``solve(n, a_nn, hist, u_{n-1})`` returns u_n.  Yields (n0, V) per
+        block, V = u_{n0..n1}, a view that the next block overwrites.
 
-        Steps go in blocks of _BLOCK.  Terms from a step's own block take
-        the exact two-power weights.  The far part, from the blocks before
-        the block start n0, is a sum of exponentials,
+        Steps go in blocks of B = _BLOCK.  Terms from a step's own block
+        take the exact two-power weights.  The far part, from the blocks
+        before the block start n0, is a sum of exponentials,
             far_n = sum_j c_j e^{-s_j (t_n - t_n0)} Y_j,
             Y_j = sum_{k<=n0} e^{-s_j (t_n0 - t_k)} phi(s_j h_k) (u_k - u_{k-1}),
         with phi(z) = -expm1(-z)/z the exact mean of each exponential over
@@ -162,17 +165,16 @@ class CaputoL1Operator:
         [delta, T], delta = h_{B+1} the shortest far distance, to a relative
         eps = 5e-13 (`_soe`), so each far weight is within eps of a_{n,k}.
         Y is updated once per block, and a node drops out for good once
-        e^{-s_j h_{n0+1}} < e^{-_CUT}: O(N J M) work for J <= ~250 nodes
-        against O(N^2 M) for the exact sum.  The first block (N <= _BLOCK
-        is exact, bit for bit) and alpha = 1, whose far weights vanish,
-        have no far part.
+        e^{-s_j h_{n0+1}} < e^{-_CUT}: O(N J M) work and O((B + J) M)
+        memory, J <= ~250, against O(N^2 M) and O(N M) for the exact sum.
+        The first block (N <= B is exact, bit for bit) and alpha = 1, whose
+        far weights vanish, have no far part.
         """
         u0 = np.asarray(u0, dtype=float)
         N = self.grid.steps
         B = min(_BLOCK, N)
-        U = np.empty((N + 1,) + u0.shape)
-        U[0] = u0
-        dU = np.empty((N,) + u0.shape)
+        U = np.full((B + 1,) + u0.shape, u0)  # u_n0..u_n1 of this block
+        dU = np.empty((B,) + u0.shape)  # and its increments
         W = np.empty((B, B))  # row i: in-block weights of step n0 + 1 + i
         far = np.zeros((B,) + u0.shape)
         t, h = self._t, self._h
@@ -180,22 +182,22 @@ class CaputoL1Operator:
         if N > B and self.alpha < 1.0:
             s, c = _soe(self.alpha, h[B], t[N])
             J = s.size
-            far2, dU2 = far.reshape(B, -1), dU.reshape(N, -1)  # 2-D views
+            far2, dU2 = far.reshape(B, -1), dU.reshape(B, -1)  # 2-D views
             Y = np.zeros((J, dU2.shape[1]))
             E, G = np.empty((B, J)), np.empty((J, B))
         for n0 in range(0, N, B):
             n1 = min(n0 + B, N)
             m = n1 - n0
-            self._weights(n0, n1, n0, W[:m, :m])
+            self._weights(n0, n0, W[:m, :m])
             if n0 and J:  # E_ij = c_j e^{-s_j (t_n - t_n0)}
                 Ej = E[:m, :J]
                 np.multiply.outer(t[n0] - t[n0 + 1:n1 + 1], s[:J], out=Ej)
                 np.multiply(np.exp(Ej, out=Ej), c[:J], out=Ej)
                 np.matmul(Ej, Y[:J], out=far2[:m])
             for i, n in enumerate(range(n0 + 1, n1 + 1)):
-                hist = far[i] + W[i, :i].dot(dU[n0:n - 1])
-                U[n] = solve(n, W[i, i], hist, U[n - 1])
-                dU[n - 1] = U[n] - U[n - 1]
+                hist = far[i] + W[i, :i].dot(dU[:i])
+                U[i + 1] = solve(n, W[i, i], hist, U[i])
+                dU[i] = U[i + 1] - U[i]
             if n1 < N and J:  # every block but the last is full
                 # far distances from here on are >= h_{n1+1}
                 J = min(J, int(np.searchsorted(s, _CUT / h[n1], "right")))
@@ -207,8 +209,20 @@ class CaputoL1Operator:
                 np.multiply(np.exp(Gj, out=Gj), phi, out=Gj)
                 Y[:J] *= np.exp((t[n0] - t[n1]) * sj)[:, None]
                 # Y += G dU in place: BLAS writes the transposed view of Y
-                dgemm(1.0, dU2[n0:n1].T, Gj.T, 1.0, Y[:J].T, overwrite_c=1)
-        return U
+                dgemm(1.0, dU2.T, Gj.T, 1.0, Y[:J].T, overwrite_c=1)
+            yield n0, U[:m + 1]
+            U[0] = U[m]
+
+
+def _scalar_trace(grid, alpha, beta, u0, solve) -> ScalarTrace:
+    """Every node of the L1 march of a mode equation with factor t^beta."""
+    op = CaputoL1Operator(grid, alpha)
+    if beta <= -alpha:
+        raise DomainError("require beta > -alpha")
+    values = np.empty(grid.steps + 1)
+    for n0, V in op.march(u0, solve):
+        values[n0:n0 + len(V)] = V
+    return ScalarTrace(times=grid.nodes, values=values)
 
 
 def solve_linear_mode(alpha: float, beta: float, lam: float, u0: float,
@@ -221,15 +235,12 @@ def solve_linear_mode(alpha: float, beta: float, lam: float, u0: float,
     """
     if lam < 0:
         raise DomainError("lam must be nonnegative")
-    op = CaputoL1Operator(grid, alpha)
-    if beta <= -alpha:
-        raise DomainError("require beta > -alpha")
     t = grid.nodes
 
     def solve(n, ann, hist, prev):
         return (ann * prev - hist) / (ann + lam * t[n] ** beta)
 
-    return ScalarTrace(times=t, values=op.march(u0, solve))
+    return _scalar_trace(grid, alpha, beta, u0, solve)
 
 
 @dataclass(frozen=True)
@@ -283,9 +294,6 @@ def solve_semilinear(params: SemilinearParams, alpha: float,
     """Implicit L1 steps, each the root of  w + c w^delta = rhs  (c > 0) on
     [0, rhs] to about an ulp; it exists while rhs stays positive.  At
     alpha = 1 the L1 weights reduce to backward Euler."""
-    op = CaputoL1Operator(grid, alpha)
-    if params.beta <= -alpha:
-        raise DomainError("require beta > -alpha")
     t = grid.nodes
     nu, delta, beta = params.nu, params.delta, params.beta
 
@@ -296,7 +304,7 @@ def solve_semilinear(params: SemilinearParams, alpha: float,
                                    "refine the mesh near t = 0")
         return _step_root(float(nu * t[n] ** beta / ann), delta, rhs)
 
-    return ScalarTrace(times=t, values=op.march(params.H0, solve))
+    return _scalar_trace(grid, alpha, beta, params.H0, solve)
 
 
 def lemma_envelope(params: SemilinearParams, alpha: float):

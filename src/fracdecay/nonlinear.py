@@ -15,6 +15,9 @@ source term, the current iterate and the residual.  a(t_n) is evaluated
 on all nodes at once, and a_nn u_{n-1} - hist once per step; each sweep
 only writes into these buffers.  The Laplace band is constant in u, and
 a single sweep computes no residual.
+
+Energies are summed per block of nodes from `march`; only keep_fields=True
+keeps the N x M field history, and the energy check adds one N x M array.
 """
 
 from __future__ import annotations
@@ -272,14 +275,18 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
             raise PositivityLoss(f"negative state at t = {t[n]:g}")
         return unew
 
+    U = np.empty((tgrid.steps + 1, M)) if keep_fields else None
+    ss = np.empty(tgrid.steps + 1)  # sum_i u_i^2 at each node
     # overflow is reported by the finiteness checks, not by NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        U = op.march(u0, solve)
-        energies = np.sqrt(h * np.sum(U ** 2, axis=1))
+        for n0, V in op.march(u0, solve):  # V = u_{n0..n1}
+            ss[n0:n0 + len(V)] = np.square(V).sum(axis=1)
+            if keep_fields:
+                U[n0:n0 + len(V)] = V
+        energies = np.sqrt(h * ss)
     if not np.isfinite(energies).all():
         raise NonFiniteState("energy overflows on a finite field")
-    return FieldTrace(times=t, energies=energies, grid=grid, tgrid=tgrid,
-                      fields=U if keep_fields else None)
+    return FieldTrace(t, energies, grid, tgrid, fields=U)
 
 
 def check_energy_inequality(trace: FieldTrace, alpha: float) -> np.ndarray:
@@ -295,6 +302,6 @@ def check_energy_inequality(trace: FieldTrace, alpha: float) -> np.ndarray:
     h = trace.grid.h
     dE, dU = op.apply(trace.energies, trace.fields)
     lhs = trace.energies[1:] * dE
-    rhs = h * np.sum(trace.fields[1:] * dU, axis=1)
+    rhs = h * np.sum(np.multiply(trace.fields[1:], dU, out=dU), axis=1)
     return rhs - lhs
 

@@ -52,7 +52,7 @@ def test_default_grading():
 
 def _row(op, n):
     """Weights a_{n,1..n} at node t_n."""
-    return op._weights(n - 1, n, 0, np.empty((1, n)))[0]
+    return op._weights(n - 1, 0, np.empty((1, n)))[0]
 
 
 def test_weights_positive_and_increasing():
@@ -118,17 +118,39 @@ def test_apply_shape_checks():
         op.apply(np.ones(7))
 
 
+B = fracode._BLOCK
+
+
 def test_apply_serves_several_arrays_in_one_pass():
     # one pass over the weight rows gives each array the bits of its own call
-    op = CaputoL1Operator(TimeGrid(5.0, 3 * fracode._BLOCK + 7, 2.0), 0.4)
+    op = CaputoL1Operator(TimeGrid(5.0, 3 * B + 7, 2.0), 0.4)
     rng = np.random.default_rng(7)
     scalar = rng.standard_normal(op.grid.steps + 1)
     field = rng.standard_normal((op.grid.steps + 1, 5))
+    before = scalar.copy(), field.copy()
     d_scalar, d_field = op.apply(scalar, field)
+    # apply overwrites buffers of its own, never the caller's samples
+    assert scalar.tobytes() == before[0].tobytes()
+    assert field.tobytes() == before[1].tobytes()
     assert np.array_equal(d_scalar, op.apply(scalar))
     assert np.array_equal(d_field, op.apply(field))
     with pytest.raises(GridMismatch):
         op.apply(scalar, field[1:])
+
+
+def _march_nodes(op, u0, solve):
+    """Every node of op.march, collected from its blocks, which must tile
+    0..N in order, each starting at the node the one before ended on."""
+    U = np.empty((op.grid.steps + 1,) + np.shape(u0))
+    U[0] = u0
+    end = 0
+    for n0, V in op.march(u0, solve):
+        assert n0 == end and 2 <= len(V) <= B + 1
+        assert np.array_equal(V[0], U[n0])
+        U[n0:n0 + len(V)] = V
+        end = n0 + len(V) - 1
+    assert end == op.grid.steps
+    return U
 
 
 def _per_row_march(op, u0, solve):
@@ -160,8 +182,6 @@ def _per_row_apply(op, samples):
             np.array([np.abs(w) @ np.abs(du[:len(w)]) for w in rows]))
 
 
-B = fracode._BLOCK
-
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(alpha=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
@@ -184,7 +204,7 @@ def test_blocked_history_matches_per_row_sums(alpha, steps, width, grading,
 
     u0 = rng.uniform(0.5, 1.5, shape)
     ref = _per_row_march(op, u0, solve)
-    U = op.march(u0, solve)
+    U = _march_nodes(op, u0, solve)
     assert U.shape == ref.shape
     assert np.all(np.abs(U - ref) <= 1e-10 * np.abs(ref))
 
@@ -203,7 +223,7 @@ def test_march_matches_a_40_digit_march():
     def solve(n, ann, hist, prev):
         return (ann * prev - hist) / (ann + 1)
 
-    U = op.march(1.0, solve)
+    U = _march_nodes(op, 1.0, solve)
     mp = mpmath.MPContext()
     mp.dps = 40
     t = [mp.mpf(x) for x in op.grid.nodes]  # the float nodes, exactly

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from scipy.linalg import solve_banded
 from fracdecay.decayfit import check_envelope
 from fracdecay.errors import (DomainError, FracdecayError, NonFiniteState,
                               PositivityLoss, StepDivergence)
-from fracdecay.fracode import TimeGrid, default_grading, solve_linear_mode
+from fracdecay.fracode import (CaputoL1Operator, TimeGrid, default_grading,
+                               solve_linear_mode)
 from fracdecay.nonlinear import (OperatorSpec, SourceSpec, SpatialGrid1D,
                                  _half_coefficient, check_energy_inequality,
                                  predict_exponent, solve_nonlinear)
@@ -359,3 +361,57 @@ def test_dirichlet_laplace_energies_never_increase(alpha, beta, M, N, horizon,
                          u0, g, TimeGrid(horizon, N, default_grading(alpha)),
                          keep_fields=False)
     assert np.all(np.diff(tr.energies) <= 1e-14 * tr.energies[0])
+
+
+@pytest.mark.parametrize("kind", ["laplace", "p_laplace", "porous_medium",
+                                  "degenerate", "mean_curvature",
+                                  "kirchhoff"])
+@pytest.mark.parametrize("source", [SourceSpec(kind="fisher_kpp"),
+                                    SourceSpec(kind="power_absorption",
+                                               mu=0.5, p=2.5)])
+@pytest.mark.parametrize("N", [1, 7, 32, 3 * 32 + 5])
+def test_kept_and_unkept_fields_give_the_same_energies(kind, source, N):
+    # keep_fields=False sums each block's energies from march's own buffer;
+    # the bits match those of the kept history, which they are summed from
+    spec = OperatorSpec(kind=kind, p=3.0, m=1.0, q=1.0, gamma=0.5)
+    g = SpatialGrid1D(math.pi, 15)
+    args = (spec, source, 0.6, COEFF, np.sin(g.x) - 0.3 * np.sin(2 * g.x),
+            g, TimeGrid(5.0, N, 2.0))
+    kept = solve_nonlinear(*args, keep_fields=True)
+    lean = solve_nonlinear(*args, keep_fields=False)
+    assert lean.fields is None and kept.fields.shape == (N + 1, 15)
+    assert kept.energies.tobytes() == lean.energies.tobytes()
+    assert np.array_equal(kept.energies,
+                          np.sqrt(g.h * np.sum(kept.fields ** 2, axis=1)))
+
+
+def _traced_peak(f, *args, **kwargs):
+    """Peak bytes that tracemalloc traces while f runs."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_field_history_memory_does_not_grow_with_steps():
+    # keep_fields=False holds one block of the field history: at 255 x 8192
+    # the whole history would be 16.7 MB (33 MB with its increments)
+    g = SpatialGrid1D(math.pi, 255)
+    peaks = [_traced_peak(solve_nonlinear, OperatorSpec(kind="p_laplace", p=3.0),
+                          SourceSpec(), 0.5, COEFF, np.sin(g.x), g,
+                          TimeGrid(10.0, N, 3.0), keep_fields=False)
+             for N in (2048, 8192)]
+    assert peaks[1] < 4e6 and peaks[1] <= 1.5 * peaks[0]
+    # apply writes its result over its own increments: one N x M array,
+    # plus B x N weights, an 8 x N temporary and NumPy's fixed 64 kB
+    # iteration buffers (2.5 N x M before)
+    N = 2048
+    op = CaputoL1Operator(TimeGrid(10.0, N, 2.0), 0.5)
+    field = np.random.default_rng(3).standard_normal((N + 1, 255))
+    assert _traced_peak(op.apply, field) <= 1.25 * N * 255 * 8
