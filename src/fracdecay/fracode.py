@@ -137,10 +137,10 @@ class CaputoL1Operator:
                     f"expected {N + 1} samples, got {s.shape[0]}"
                 )
         dus = [np.diff(s, axis=0) for s in samples]
-        W = np.empty((min(_BLOCK, N), N))  # rows are 0 past their end
+        W = np.empty((min(_BLOCK, N), N))
         for n0 in reversed(range(0, N, _BLOCK)):
             n1 = min(n0 + _BLOCK, N)
-            for r0 in range(n0, n1, 8):  # up to 8 rows per temporary
+            for r0 in range(n0, n1, 8):  # 8 rows per temporary; 0 past t_n
                 self._weights(r0, 0, W[r0 - n0:n1 - n0, :n1][:8])
             for du in dus:
                 du[n0:n1] = W[:n1 - n0, :n1] @ du[:n1]

@@ -182,7 +182,6 @@ def _per_row_apply(op, samples):
             np.array([np.abs(w) @ np.abs(du[:len(w)]) for w in rows]))
 
 
-
 @settings(max_examples=60, deadline=None, database=None)
 @given(alpha=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
        steps=st.sampled_from([1, B - 1, B, B + 1, 3 * B + 5]),

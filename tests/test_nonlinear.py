@@ -403,9 +403,10 @@ def test_field_history_memory_does_not_grow_with_steps():
     # keep_fields=False holds one block of the field history: at 255 x 8192
     # the whole history would be 16.7 MB (33 MB with its increments)
     g = SpatialGrid1D(math.pi, 255)
-    peaks = [_traced_peak(solve_nonlinear, OperatorSpec(kind="p_laplace", p=3.0),
-                          SourceSpec(), 0.5, COEFF, np.sin(g.x), g,
-                          TimeGrid(10.0, N, 3.0), keep_fields=False)
+    spec = OperatorSpec(kind="p_laplace", p=3.0)
+    peaks = [_traced_peak(solve_nonlinear, spec, SourceSpec(), 0.5, COEFF,
+                          np.sin(g.x), g, TimeGrid(10.0, N, 3.0),
+                          keep_fields=False)
              for N in (2048, 8192)]
     assert peaks[1] < 4e6 and peaks[1] <= 1.5 * peaks[0]
     # apply writes its result over its own increments: one N x M array,
