@@ -44,35 +44,26 @@ class FitModel:
     residual: float
 
 
-def _valid(t, e):
-    t = np.asarray(t, dtype=float)
-    e = np.asarray(e, dtype=float)
-    mask = (t > 0) & (e > ENERGY_FLOOR) & np.isfinite(e)
-    return t[mask], e[mask]
-
-
-def _tail_window(t, decades):
-    """Indices of the last `decades` decades of t, final 5% excluded."""
-    if not 0.0 < decades < math.inf:
-        raise DomainError(f"fit window {decades!r} is not positive and finite")
-    n = len(t)
-    keep = max(10, int(math.floor(n * (1.0 - TAIL_DROP))))
-    t_hi = t[keep - 1]
-    t_lo = t_hi / 10.0 ** decades
-    mask = (t >= t_lo) & (t <= t_hi)
-    return mask, (t_lo, t_hi)
-
-
 def _tail(times, energies, window):
-    """Usable samples and the mask of the fit window; DegenerateTrace when
-    either holds fewer than 10 points."""
-    t, e = _valid(times, energies)
+    """The one tail rule of every fit and verdict: (t, E) samples with
+    t > 0 and finite E above ENERGY_FLOOR, the mask of their last `window`
+    decades without the final TAIL_DROP share (10 samples kept at least),
+    and its bounds.  DomainError for a window that is not positive and
+    finite; DegenerateTrace when samples or window hold fewer than 10 points."""
+    if not 0.0 < window < math.inf:
+        raise DomainError(f"fit window {window!r} is not positive and finite")
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(energies, dtype=float)
+    usable = (t > 0) & (e > ENERGY_FLOOR) & np.isfinite(e)
+    t, e = t[usable], e[usable]
     if len(t) < 10:
         raise DegenerateTrace("fewer than 10 usable (t, E) points")
-    mask, _ = _tail_window(t, window)
+    t_hi = t[max(10, int(math.floor(len(t) * (1.0 - TAIL_DROP)))) - 1]
+    t_lo = t_hi / 10.0 ** window
+    mask = (t >= t_lo) & (t <= t_hi)
     if mask.sum() < 10:
         raise DegenerateTrace("fewer than 10 points in the fit window")
-    return t, e, mask
+    return t, e, mask, (t_lo, t_hi)
 
 
 def fit_power_tail(times, energies, window: float = 2.0):
@@ -80,7 +71,7 @@ def fit_power_tail(times, energies, window: float = 2.0):
 
     Returns (s, intercept, residual_rms) with s the negated slope.
     """
-    t, e, mask = _tail(times, energies, window)
+    t, e, mask, _ = _tail(times, energies, window)
     slope, intercept, resid = _line_fit(np.log(t[mask]), np.log(e[mask]))
     return -float(slope), float(intercept), resid
 
@@ -98,7 +89,7 @@ def fit_model_select(times, energies, window: float = 2.0) -> FitModel:
     transform; logarithmic c (1+log(1+t))^(-p); plateau (constant level).
     Raises AmbiguousFit when the two best residuals differ by under 5%.
     """
-    t, e, mask = _tail(times, energies, window)
+    t, e, mask, _ = _tail(times, energies, window)
     tt, ee = t[mask], e[mask]
     le = np.log(ee)
     candidates = []
@@ -149,30 +140,27 @@ def check_envelope(times, energies, exponent: float, two_sided: bool = True,
     finite when they stabilize, i.e. the tail slope of E(1+t^s) in log-log
     stays within +-SLOPE_TOL.  A drifting upper constant is ``violated``
     either way; a drifting lower one only when a sandwich is requested.
-    The same window gives ``fitted_exponent`` and ``residual_rms``, the
-    values of ``fit_power_tail``; with fewer than 10 points in it they are
-    NaN and the slope counts as 0.
+    The window is ``_tail``'s, as in ``fit_power_tail``, which gives the
+    same ``fitted_exponent`` and ``residual_rms``; a trace or window that
+    ``_tail`` finds too small is ``degenerate``, with its reason as notes.
     """
     if not 0.0 < exponent < math.inf:
         raise DegenerateTrace("envelope exponent not positive and finite")
-    t, e = _valid(times, energies)
-    if len(t) < 10:
-        return DecayReport(verdict="degenerate", notes="zero or underflowed trace")
+    try:
+        t, e, mask, window = _tail(times, energies, fit_window)
+    except DegenerateTrace as exc:
+        return DecayReport(verdict="degenerate", notes=str(exc))
     q = e * (1.0 + t ** exponent)
-    mask, window = _tail_window(t, fit_window)
-    slope, s_fit, resid = 0.0, math.nan, math.nan
-    if mask.sum() >= 10:
-        lt = np.log(t[mask])
-        slope = _line_fit(lt, np.log(q[mask]))[0]
-        neg_s, _, resid = _line_fit(lt, np.log(e[mask]))
-        s_fit = -float(neg_s)
+    lt = np.log(t[mask])
+    slope = _line_fit(lt, np.log(q[mask]))[0]
+    neg_s, _, resid = _line_fit(lt, np.log(e[mask]))
     if two_sided:
         verdict = "sandwich_ok" if abs(slope) <= SLOPE_TOL else "violated"
     else:
         verdict = "upper_only_ok" if slope <= SLOPE_TOL else "violated"
     return DecayReport(
         verdict=verdict,
-        fitted_exponent=s_fit,
+        fitted_exponent=-float(neg_s),
         window=window,
         residual_rms=resid,
         predicted_exponent=exponent,

@@ -19,8 +19,6 @@ from .errors import ConfigError
 
 
 def format_value(x) -> str:
-    if isinstance(x, str):
-        return x
     return "%.17g" % float(x)
 
 

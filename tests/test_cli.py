@@ -208,11 +208,15 @@ def test_decay_fit_violation_exit_code(tmp_path, capsys):
     (["subdiffusion", "solve", "--alpha", "0.5", "--u0", "0,0,0,0",
       "--modes", "4"], "out"),
     (["decay", "fit", "--input", "slow.csv", "--exponent", "nan"], "err"),
-], ids=["decay-fit", "subdiffusion-solve", "exponent-nan"])
+    (["decay", "fit", "--input", "slow.csv", "--exponent", "1",
+      "--window", "0.001"], "out"),
+], ids=["decay-fit", "subdiffusion-solve", "exponent-nan",
+        "window-too-narrow"])
 def test_decay_fit_degenerate_exit_code(tmp_path, monkeypatch, capsys, argv,
                                         stream):
     # a zero trace is `degenerate` with one exit status from every command,
-    # and so is an envelope exponent that is not positive and finite
+    # and so are an envelope exponent that is not positive and finite and a
+    # fit window too narrow to hold 10 points
     monkeypatch.chdir(tmp_path)
     t = np.logspace(-1, 3, 200)
     write_csv_atomic("zero.csv", ["t", "E"], [t, np.zeros_like(t)])

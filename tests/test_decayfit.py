@@ -85,6 +85,29 @@ def test_envelope_degenerate_trace():
     assert rep.verdict == "degenerate"
 
 
+def test_envelope_narrow_window_is_degenerate():
+    # a window too narrow to fit gives no verdict; it is not a zero slope
+    t = np.logspace(-1, 3, 200)
+    e = t ** -0.3
+    rep = check_envelope(t, e, 1.0, fit_window=0.001)
+    assert rep.verdict == "degenerate"
+    assert np.isnan(rep.fitted_exponent)
+    assert check_envelope(t, e, 1.0, fit_window=2.0).verdict == "violated"
+
+
+@pytest.mark.parametrize("window", [0.5, 1.0, 2.0])
+def test_envelope_window_is_the_power_tail_window(window):
+    e = 2.0 / (1.0 + T ** 0.8)
+    rep = check_envelope(T, e, 0.8, fit_window=window)
+    s, _, resid = fit_power_tail(T, e, window=window)
+    assert rep.fitted_exponent == s
+    assert rep.residual_rms == resid
+    # 301 samples: the last 16 (5%, rounded up) are left out
+    t_hi = T[284]
+    assert rep.window[1] == t_hi
+    assert rep.window[0] == pytest.approx(t_hi * 10.0 ** -window, rel=1e-14)
+
+
 def test_envelope_rejects_bad_exponent():
     with pytest.raises(DegenerateTrace):
         check_envelope(T, 1.0 / (1.0 + T), -1.0)
