@@ -20,8 +20,8 @@ from .errors import (AmbiguousFit, ConfigError, DegenerateTrace, DomainError,
                      FracdecayError, InadmissibleParams, PositivityLoss)
 from .fracode import (SemilinearParams, TimeGrid, default_grading,
                       lemma_envelope, solve_semilinear)
-from .nonlinear import (OperatorSpec, SourceSpec, SpatialGrid1D,
-                        predict_exponent, solve_nonlinear)
+from .nonlinear import (OPERATORS, SOURCES, OperatorSpec, SourceSpec,
+                        SpatialGrid1D, predict_exponent, solve_nonlinear)
 from .specfun import KilbasSaigoParams, kilbas_saigo, kilbas_saigo_bounds
 from .spectral import CoefficientSpec
 
@@ -80,6 +80,8 @@ def _spectral_u0(sys_, text, seed):
         u0k = np.zeros(K); u0k[0] = 1.0
         return u0k
     if text == "mean_zero":
+        if K < 2:
+            raise ConfigError("preset 'mean_zero' needs at least 2 modes")
         u0k = np.zeros(K); u0k[1] = 1.0
         if K > 3:
             u0k[3] = 0.5
@@ -143,7 +145,7 @@ def _cmd_subdiffusion_solve(args):
         lam, level = sys_.lambdas[0], 0.0
     else:
         rep = spectral.verify_neumann(tr, sys_, args.alpha, args.beta,
-                                      u0k[0], u0k[1])
+                                      u0k[0], u0k[1:2].sum())  # K = 1 refused
         lam = sys_.lambdas[sys_.lambdas > 0][0]
         # with a conserved level the envelope constants bound E - |u00|
         level = abs(u0k[0]) if abs(u0k[0]) > spectral.NEUMANN_PLATEAU_TOL \
@@ -189,10 +191,9 @@ def _nonlinear_u0(grid, text, seed):
 
 def _run_nonlinear(args):
     """One run as the header, columns, verdict and note `_emit` takes."""
-    spec = OperatorSpec(kind=args.operator, p=args.p, m=args.m, c0=1.0,
-                        q=args.q, gamma=args.gamma)
-    src = SourceSpec(kind=args.source, mu=args.mu) if args.source != "none" \
-        else SourceSpec()
+    spec = OperatorSpec(kind=args.operator, p=args.p, m=args.m, q=args.q,
+                        gamma=args.gamma)
+    src = SourceSpec(kind=args.source, mu=args.mu)
     coeff = CoefficientSpec(kind="power", kappa=args.kappa, beta=args.beta)
     if not coeff.satisfies_hypothesis(args.alpha):
         raise ConfigError(
@@ -286,9 +287,7 @@ def _cmd_reproduce(args):
 
 
 def _nonlinear_flags(s):
-    s.add_argument("--operator", default="laplace",
-                   choices=("laplace", "p_laplace", "porous_medium",
-                            "degenerate", "mean_curvature", "kirchhoff"))
+    s.add_argument("--operator", default="laplace", choices=OPERATORS)
     s.add_argument("--p", type=float, default=2.0)
     s.add_argument("--m", type=float, default=0.0)
     s.add_argument("--q", type=float, default=0.0)
@@ -296,8 +295,7 @@ def _nonlinear_flags(s):
     s.add_argument("--alpha", type=float, default=0.5)
     s.add_argument("--beta", type=float, default=0.5)
     s.add_argument("--kappa", type=float, default=1.0)
-    s.add_argument("--source", default="none",
-                   choices=("none", "fisher_kpp", "power_absorption"))
+    s.add_argument("--source", default="none", choices=SOURCES)
     s.add_argument("--mu", type=float, default=0.0)
     s.add_argument("--u0-preset", default="sine")
     s.add_argument("--L", type=float, default=math.pi)

@@ -35,9 +35,10 @@ _CUT = 40.0  # an exponential e^{-s x} is dropped where s x > 40
 
 def _soe(alpha, lo, hi):
     """Nodes s and weights c with sum_j c_j e^{-s_j x} = x^{-a}/G(1-a) to a
-    relative 5e-13 for lo <= x <= hi (4e-14 measured, a in [0.05, 0.99]).
+    relative 5e-13 for lo <= x <= hi (4e-14 measured, a in [0.01, 1)).
 
-    x^{-a}/G(1-a) = sin(pi a)/pi int_0^inf tau^{a-1} e^{-tau x} dtau: 12
+    x^{-a}/G(1-a) = sin(pi a)/pi int_0^inf tau^{a-1} e^{-tau x} dtau, the
+    sine taken at pi min(a, 1-a) to keep its digits as a -> 1: 12
     Gauss-Jacobi nodes on [0, 1/hi], where tau x <= 1, then 20-node
     Gauss-Legendre panels of width 3.4 in log tau up to 40/lo, past which
     e^{-tau x} <= e^{-40}.  About 200 nodes for hi/lo = 1e11.
@@ -49,7 +50,7 @@ def _soe(alpha, lo, hi):
     s = np.concatenate([0.5 / hi * (1.0 + xi), np.exp(u).ravel()])
     c = np.concatenate([(0.5 / hi) ** alpha * wj,
                         (1.7 * wg * np.exp(alpha * u)).ravel()])
-    return s, math.sin(math.pi * alpha) / math.pi * c
+    return s, math.sin(math.pi * min(alpha, 1.0 - alpha)) / math.pi * c
 
 
 def default_grading(alpha: float) -> float:

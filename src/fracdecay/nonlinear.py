@@ -4,17 +4,17 @@ The six operators (Laplace, p-Laplace, porous medium, degenerate,
 mean curvature, Kirchhoff) are discretized by second-order differences
 on a uniform interior grid with homogeneous Dirichlet closure: five in
 conservative flux form at half-points, the degenerate one as f(u) times
-the three-point Laplacian.  Time stepping freezes the nonlinear
-coefficient at the previous iterate, so every step is one (or a few)
-tridiagonal solves; the Caputo history stays explicit.
+the three-point Laplacian.  Each is one decay degree delta (`_DEGREE`)
+and one pair of row coefficients (L, R), which fill the step band alike
+for all six.  Time stepping freezes (L, R) at the previous iterate, so a
+step is one (or a few) tridiagonal solves; the history stays explicit.
 
 Each solve allocates its step system once: a (4, M) array of the super-,
 main and subdiagonal rows and the right-hand side, which LAPACK gtsv
-solves in place, and M-sized buffers for the half-point coefficient, the
-source term, the current iterate and the residual.  a(t_n) is evaluated
-on all nodes at once, and a_nn u_{n-1} - hist once per step; each sweep
-only writes into these buffers.  The Laplace band is constant in u, and
-a single sweep computes no residual.
+solves in place, and M-sized buffers for (L, R), the source term, the
+current iterate and the residual.  a(t_n) is evaluated on all nodes at
+once, and a_nn u_{n-1} - hist once per step; each sweep only writes into
+these buffers, and a single sweep computes no residual.
 
 Energies are summed per block of nodes from `march`; only keep_fields=True
 keeps the N x M field history, and the energy check adds one N x M array.
@@ -57,6 +57,16 @@ class SpatialGrid1D:
         return self.h * np.arange(1, self.interior + 1)
 
 
+# decay degree delta of each operator kind, A(c u) = c^delta A(u), which
+# sets the predicted rate t^-(a+b)/delta (mean curvature takes 1)
+_DEGREE = {"laplace": lambda o: 1.0, "p_laplace": lambda o: o.p - 1.0,
+           "porous_medium": lambda o: o.m + 1.0,
+           "degenerate": lambda o: o.q + 1.0, "mean_curvature": lambda o: 1.0,
+           "kirchhoff": lambda o: o.gamma + o.p - 1.0}
+OPERATORS = tuple(_DEGREE)
+SOURCES = ("none", "fisher_kpp", "power_absorption")
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """One of the supported elliptic operators with its hypothesis data."""
@@ -69,9 +79,7 @@ class OperatorSpec:
     gamma: float = 0.0  # Kirchhoff: M(s) = s^gamma, s = (h sum |Du|^2)^(1/2)
 
     def __post_init__(self):
-        kinds = ("laplace", "p_laplace", "porous_medium", "degenerate",
-                 "mean_curvature", "kirchhoff")
-        if self.kind not in kinds:
+        if self.kind not in OPERATORS:
             raise DomainError(f"unknown operator kind {self.kind!r}")
         if self.kind in ("p_laplace", "kirchhoff") and self.p <= 1:
             raise DomainError("p-Laplace requires p > 1")
@@ -87,42 +95,37 @@ class OperatorSpec:
 class SourceSpec:
     """Reaction term added to the diffusion equation."""
 
-    kind: str = "none"          # none | fisher_kpp | power_absorption
+    kind: str = "none"          # one of SOURCES
     mu: float = 0.0
     p: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "fisher_kpp", "power_absorption"):
+        if self.kind not in SOURCES:
             raise DomainError(f"unknown source kind {self.kind!r}")
         if self.kind == "power_absorption" and self.p <= 1:
             raise DomainError("absorption exponent must satisfy p > 1")
 
 
 def predict_exponent(spec: OperatorSpec, alpha: float, beta: float) -> float:
-    """Theoretical upper-bound decay exponent s for the given operator."""
-    s = alpha + beta
-    if spec.kind == "p_laplace":
-        s /= spec.p - 1.0
-    elif spec.kind == "porous_medium":
-        s /= spec.m + 1.0
-    elif spec.kind == "degenerate":
-        s /= spec.q + 1.0
-    elif spec.kind == "kirchhoff":
-        s /= spec.gamma + spec.p - 1.0
+    """Theoretical upper-bound decay exponent s = (a+b)/delta."""
+    s = (alpha + beta) / _DEGREE[spec.kind](spec)
     if not s > 0:
         raise DomainError("predicted exponent must be positive")
     return s
 
 
 def _half_coefficient(spec: OperatorSpec, u, h, out=None):
-    """Diffusion coefficient d at the M+1 half-points for flux-form
-    operators, written into ``out`` if given."""
-    if spec.kind == "degenerate":
-        raise DomainError(f"{spec.kind} has no flux form")
+    """(L, R) of A_h(u)_i = (R_i (u_{i+1} - u_i) - L_i (u_i - u_{i-1})) / h^2,
+    u_0 = u_{M+1} = 0, as views of ``out`` (M+1 values): (d[:-1], d[1:]) of
+    the half-point d in flux form, (f, f), f = |u|^q, for f(u) Lap u."""
     out = np.empty(len(u) + 1) if out is None else out
+    if spec.kind == "degenerate":
+        f = np.abs(u, out=out[:-1])
+        f **= spec.q
+        return f, f
     if spec.kind == "laplace":
         out.fill(1.0)
-        return out
+        return out[:-1], out[1:]
     # boundary values are zero outside, so u_0 = u_{M+1} = 0 below
     if spec.kind == "porous_medium":
         np.add(u[:-1], u[1:], out=out[1:-1])
@@ -131,7 +134,7 @@ def _half_coefficient(spec: OperatorSpec, u, h, out=None):
         np.abs(out, out=out)
         out **= spec.m
         out *= spec.c0
-        return out
+        return out[:-1], out[1:]
     np.subtract(u[1:], u[:-1], out=out[1:-1])  # Du
     out[0], out[-1] = u[0] - 0.0, 0.0 - u[-1]
     out /= h
@@ -139,7 +142,8 @@ def _half_coefficient(spec: OperatorSpec, u, h, out=None):
         out **= 2
         out += 1.0
         np.sqrt(out, out=out)
-        return np.divide(1.0, out, out=out)
+        np.divide(1.0, out, out=out)
+        return out[:-1], out[1:]
     np.abs(out, out=out)
     if spec.kind == "kirchhoff":
         s = (h * np.sum(out ** 2.0)) ** (1.0 / 2.0)
@@ -148,7 +152,7 @@ def _half_coefficient(spec: OperatorSpec, u, h, out=None):
     out **= spec.p - 2.0
     if spec.kind == "kirchhoff":
         out *= s ** spec.gamma
-    return out
+    return out[:-1], out[1:]
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,7 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
     # system[0, 0] and system[2, -1] stay zero.
     system = np.zeros((4, M))
     up, main, low, rhs = system[0, 1:], system[1], system[2, :-1], system[3]
-    d = np.empty(M + 1)   # half-point coefficient, or f(u) in d[:M]
-    f = d[:M]
+    d = np.empty(M + 1)   # row coefficients (L, R), views of d
     base = np.empty(M)    # a_nn u_{n-1} - hist, once per step
     src = np.empty(M)     # source term at the current iterate
     cur = np.empty(M)     # the iterate the next sweep freezes at
@@ -227,26 +230,13 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
                     rhs_src = np.subtract(0.0, s, out=s)
             np.add(base, rhs_src, out=rhs)
 
-            if spec.kind == "laplace":
-                # d = 1: the rows below with d dropped, rounded the same
-                up.fill(-an / h2)
-                low.fill(-an / h2)
-                main.fill(2.0 * an)
-            elif spec.kind == "degenerate":
-                fv = np.abs(ustar, out=f)
-                fv **= spec.q
-                np.multiply(fv[:-1], -an, out=up)
-                np.divide(up, h2, out=up)
-                np.multiply(fv[1:], -an, out=low)
-                np.divide(low, h2, out=low)
-                np.multiply(fv, 2.0 * an, out=main)
-            else:
-                _half_coefficient(spec, ustar, h, out=d)
-                np.multiply(d[1:-1], -an, out=up)
-                np.divide(up, h2, out=up)
-                low[:] = up
-                np.add(d[:-1], d[1:], out=main)
-                np.multiply(main, an, out=main)
+            L, R = _half_coefficient(spec, ustar, h, out=d)
+            np.multiply(R[:-1], -an, out=up)
+            np.divide(up, h2, out=up)
+            np.multiply(L[1:], -an, out=low)
+            np.divide(low, h2, out=low)
+            np.add(L, R, out=main)
+            np.multiply(main, an, out=main)
             np.divide(main, h2, out=main)
             np.add(main, diag, out=main)
             if not np.isfinite(system).all():

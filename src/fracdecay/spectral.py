@@ -275,8 +275,8 @@ def verify_neumann(trace: SolutionTrace, sys: EigenSystem, alpha: float,
                    beta: float, u00: float, u01: float) -> DecayReport:
     """Neumann dichotomy: plateau at |u00| or, for mean-zero data, a full
     sandwich against the first nonzero eigenvalue."""
-    if sys.bc != "neumann":
-        raise DomainError("expected a Neumann trace")
+    if sys.bc != "neumann" or not (sys.lambdas > 0).any():
+        raise DomainError("need a Neumann trace with a positive eigenvalue")
     E = trace.energies
     lam2 = sys.lambdas[sys.lambdas > 0][0]
     s = alpha + beta

@@ -264,11 +264,19 @@ def test_decay_fit_model_selection(tmp_path, capsys):
     ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "2",
      "--nu", "1", "--h0", "1", "--grading", "200"],
     ["nonlinear", "solve", "--grading", "inf"],
+    # one mode has no mean-zero data and no positive Neumann eigenvalue
+    ["subdiffusion", "solve", "--alpha", "0.5", "--modes", "1", "--u0",
+     "mean_zero"],
+    ["heat", "solve", "--modes", "1", "--u0", "mean_zero"],
+    ["subdiffusion", "solve", "--alpha", "0.5", "--modes", "1", "--bc",
+     "neumann", "--u0", "constant"],
 ], ids=["bad-geometry", "bad-poly", "zero-poly-constant", "poly-sign-change",
         "missing-input", "undecodable-input", "sweep-T-inf", "T-nan",
         "l-inf", "m-inf", "l-nan", "window-zero", "window-negative",
         "window-nan", "repeated-column", "grading-nan", "grading-inf",
-        "grading-coinciding-nodes", "nonlinear-grading-inf"])
+        "grading-coinciding-nodes", "nonlinear-grading-inf",
+        "mean-zero-one-mode", "heat-mean-zero-one-mode",
+        "neumann-one-mode"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inf.ini").write_text("[scan]\nT = inf\npoints = 15\n")

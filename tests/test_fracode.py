@@ -187,6 +187,10 @@ def _per_row_apply(op, samples):
        steps=st.sampled_from([1, B - 1, B, B + 1, 3 * B + 5]),
        width=st.sampled_from([None, 1, 5]), grading=st.floats(1.0, 4.0),
        seed=st.integers(0, 2 ** 32 - 1))
+# the largest alpha below 1: the far-history kernel's sin(pi a) kept digits
+# only once taken at pi (1 - a)
+@example(alpha=0.9999999999999999, steps=101, width=None, grading=1.0,
+         seed=280)
 def test_blocked_history_matches_per_row_sums(alpha, steps, width, grading,
                                               seed):
     # march takes the far history as a sum of exponentials: it stays

@@ -21,10 +21,12 @@ from fracdecay.spectral import CoefficientSpec
 COEFF = CoefficientSpec(kind="power", kappa=1.0, beta=0.5)
 
 
-def _flux_form(spec, u, g):
-    """(d Du)' by differences of the solver's half-point coefficient d."""
+def _operator_rows(spec, u, g):
+    """A_h(u) = (R Du_{i+1/2} - L Du_{i-1/2}) / h from the solver's row
+    coefficients (L, R), with u_0 = u_{M+1} = 0."""
     Du = np.diff(np.concatenate([[0.0], u, [0.0]])) / g.h
-    return np.diff(_half_coefficient(spec, u, g.h) * Du) / g.h
+    L, R = _half_coefficient(spec, u, g.h)
+    return (R * Du[1:] - L * Du[:-1]) / g.h
 
 
 def test_grid_geometry():
@@ -39,7 +41,7 @@ def test_laplace_stencil_second_order():
     for M in (63, 127):
         g = SpatialGrid1D(math.pi, M)
         u = np.sin(g.x)
-        out = _flux_form(OperatorSpec(kind="laplace"), u, g)
+        out = _operator_rows(OperatorSpec(kind="laplace"), u, g)
         errs.append(np.max(np.abs(out + u)))
     assert errs[0] / errs[1] > 3.5
 
@@ -50,7 +52,7 @@ def test_porous_flux_matches_laplacian_of_power():
     g = SpatialGrid1D(math.pi, 255)
     u = np.sin(g.x)
     spec = OperatorSpec(kind="porous_medium", m=m, c0=m + 1.0)
-    out = _flux_form(spec, u, g)
+    out = _operator_rows(spec, u, g)
     exact = 2.0 * np.cos(2.0 * g.x)  # Lap sin^2 = 2 cos(2x)
     assert np.max(np.abs(out - exact)) < 5e-3
 
@@ -58,8 +60,8 @@ def test_porous_flux_matches_laplacian_of_power():
 def test_mean_curvature_reduces_to_laplace_for_flat_data():
     g = SpatialGrid1D(math.pi, 127)
     u = 1e-6 * np.sin(g.x)
-    a = _flux_form(OperatorSpec(kind="mean_curvature"), u, g)
-    b = _flux_form(OperatorSpec(kind="laplace"), u, g)
+    a = _operator_rows(OperatorSpec(kind="mean_curvature"), u, g)
+    b = _operator_rows(OperatorSpec(kind="laplace"), u, g)
     assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
 
@@ -72,6 +74,33 @@ def test_operator_validation():
         OperatorSpec(kind="porous_medium", m=-1.0)
     with pytest.raises(DomainError):
         SourceSpec(kind="power_absorption", p=0.5)
+
+
+@pytest.mark.parametrize("spec", [
+    OperatorSpec(kind="laplace"),
+    OperatorSpec(kind="p_laplace", p=2.0),
+    OperatorSpec(kind="p_laplace", p=3.0),
+    OperatorSpec(kind="p_laplace", p=4.5),
+    OperatorSpec(kind="porous_medium", m=1.0),
+    OperatorSpec(kind="porous_medium", m=0.5, c0=2.0),
+    OperatorSpec(kind="degenerate", q=1.0),
+    OperatorSpec(kind="degenerate", q=2.5),
+    OperatorSpec(kind="kirchhoff", gamma=1.0, p=2.0),
+    OperatorSpec(kind="kirchhoff", gamma=0.5, p=3.0),
+], ids=lambda spec: f"{spec.kind}-p{spec.p:g}-m{spec.m:g}-q{spec.q:g}"
+                    f"-gamma{spec.gamma:g}")
+@pytest.mark.parametrize("c", [0.5, 3.0])
+def test_operator_rows_scale_with_the_predicted_degree(spec, c):
+    # each homogeneous operator's rows, built from the (L, R) the step
+    # assembles its band from, satisfy A_h(c u) = c^delta A_h(u) with the
+    # delta that sets the predicted exponent (a+b)/delta
+    alpha, beta = 0.3, 0.4
+    delta = (alpha + beta) / predict_exponent(spec, alpha, beta)
+    g = SpatialGrid1D(math.pi, 63)
+    u = np.sin(g.x) - 0.4 * np.sin(2 * g.x) + 0.1 * np.sin(5 * g.x)
+    ref = c ** delta * _operator_rows(spec, u, g)
+    err = np.max(np.abs(_operator_rows(spec, c * u, g) - ref))
+    assert err <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_predict_exponent_table():
@@ -245,7 +274,8 @@ def _reference_fields(spec, source, alpha, coeff, u0, grid, tgrid, sweeps):
                 ab[1] = ann + diag_src + 2.0 * an * fv / h ** 2
                 ab[2, :-1] = -an * fv[1:] / h ** 2
             else:
-                dc = _half_coefficient(spec, ustar, h)
+                L, R = _half_coefficient(spec, ustar, h)
+                dc = np.append(L, R[-1])  # the M+1 half-point values
                 ab[0, 1:] = -an * dc[1:-1] / h ** 2
                 ab[1] = ann + diag_src + an * (dc[:-1] + dc[1:]) / h ** 2
                 ab[2, :-1] = -an * dc[1:-1] / h ** 2
