@@ -35,6 +35,14 @@ class DecayReport:
     envelope_lower: float = math.nan  # tightest m with m/(1+t^s) <= E
     envelope_upper: float = math.nan  # tightest M with E <= M/(1+t^s)
     notes: str = ""
+    rate: float = 1.0   # profile level + constant/(1 + rate t^s)
+    level: float = 0.0
+
+    def bounds(self, times):
+        """(lower, upper) profiles of the two envelope constants at times."""
+        prof = 1.0 + self.rate * times ** self.predicted_exponent
+        return (self.level + self.envelope_lower / prof,
+                self.level + self.envelope_upper / prof)
 
 
 @dataclass(frozen=True)

@@ -357,14 +357,3 @@ def lemma_envelope(params: SemilinearParams, alpha: float):
     sub.switch_time = t1
     sup.switch_time = t2
     return sub, sup
-
-
-def lemma_sandwich_factors(trace: ScalarTrace, params: SemilinearParams,
-                           alpha: float):
-    """Factors (c, C) with c*sub <= H <= C*super at every node past the first."""
-    sub, sup = lemma_envelope(params, alpha)
-    t = trace.times[1:]
-    v = trace.values[1:]
-    c = float(np.min(v / sub(t)))
-    C = float(np.max(v / sup(t)))
-    return min(c, 1.0), max(C, 1.0)

@@ -175,10 +175,16 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
     Per step: the Caputo history is explicit, the operator is applied
     implicitly with coefficients frozen at the previous iterate, and each
     extra sweep refreezes at the new iterate (up to 10).  Raises
-    NonFiniteState when a step system, a state or an energy is not finite.
+    DomainError unless a(t) = kappa t^beta meets the hypothesis kappa > 0,
+    beta > -alpha, and NonFiniteState when a step system, a state or an
+    energy is not finite.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("solver requires alpha in (0, 1)")
+    if not coeff.kappa > 0:
+        raise DomainError(f"a(t) needs kappa > 0, got {coeff.kappa:g}")
+    if not coeff.beta > -alpha:
+        raise DomainError(f"a(t) needs beta > -alpha, got {coeff.beta:g}")
     if not 1 <= sweeps <= 10:
         raise DomainError("sweeps must lie in 1..10")
     u0 = np.asarray(u0, dtype=float)

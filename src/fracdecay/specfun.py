@@ -87,8 +87,8 @@ class KilbasSaigoParams:
 
     @property
     def is_decay_form(self) -> bool:
-        """True for the (alpha, m, m-1) family with 0 < alpha < 1, m > 1."""
-        return 0.0 < self.alpha < 1.0 and self.m > 1.0 and abs(self.l - (self.m - 1.0)) < 1e-9
+        """True for the (alpha, m, m-1) family with 0 < alpha < 1, m >= 1."""
+        return 0.0 < self.alpha < 1.0 and self.m >= 1.0 and abs(self.l - (self.m - 1.0)) < 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,13 @@ def kilbas_saigo_bounds(alpha: float, m: float, z: float) -> BoundPair:
     """Two-sided rational bounds for E_{alpha,m,m-1}(-z), z >= 0.
 
     lower = 1/(1 + G(1-alpha) z),  upper = 1/(1 + [G(1+(m-1)a)/G(1+ma)] z).
+    At m = 1 they are Simon's bounds for E_alpha(-z) (Electron. J. Probab.
+    19, 2014).
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("bounds require 0 < alpha < 1")
-    if not m > 1.0:
-        raise DomainError("bounds require m > 1")
+    if not m >= 1.0:
+        raise DomainError("bounds require m >= 1")
     if z < 0.0:
         raise DomainError("bounds are stated for z >= 0")
     lower = 1.0 / (1.0 + math.gamma(1.0 - alpha) * z)

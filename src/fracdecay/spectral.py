@@ -14,7 +14,7 @@ count; a Parseval-defect guard catches under-resolved projections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -236,10 +236,6 @@ class CoefficientSpec:
             return np.interp(t, tt, cum)
         raise DomainError(f"unknown coefficient kind {self.kind!r}")
 
-    def satisfies_hypothesis(self, alpha: float) -> bool:
-        """Power-law lower bound kappa t^beta with beta > -alpha."""
-        return self.kind == "power" and self.kappa > 0 and self.beta > -alpha
-
 
 def solve_heat_general(sys: EigenSystem, coeff: CoefficientSpec,
                        u0k: np.ndarray, times: np.ndarray) -> SolutionTrace:
@@ -261,20 +257,23 @@ def solve_heat_general(sys: EigenSystem, coeff: CoefficientSpec,
 
 def verify_dirichlet_sandwich(trace: SolutionTrace, sys: EigenSystem,
                               alpha: float, beta: float) -> DecayReport:
-    """Two-sided check of E(t) against m1/(1+lam_1 t^(a+b)) <= E <= M1/(...)."""
+    """Two-sided check of E(t) against m1/(1+lam_1 t^(a+b)) <= E <= M1/(...);
+    the report's rate is lam_1."""
     if sys.bc != "dirichlet":
         raise DomainError("sandwich check expects a Dirichlet trace")
     lam1 = sys.lambdas[0]
     s = alpha + beta
     # fold lam_1 into the time variable so the profile is 1/(1+tau)
     tau = lam1 ** (1.0 / s) * trace.times
-    return decayfit.check_envelope(tau, trace.energies, s, two_sided=True)
+    return replace(decayfit.check_envelope(tau, trace.energies, s,
+                                           two_sided=True), rate=lam1)
 
 
 def verify_neumann(trace: SolutionTrace, sys: EigenSystem, alpha: float,
                    beta: float, u00: float, u01: float) -> DecayReport:
     """Neumann dichotomy: plateau at |u00| or, for mean-zero data, a full
-    sandwich against the first nonzero eigenvalue."""
+    sandwich against the first nonzero eigenvalue lam_2, the report's rate;
+    with a plateau the constants bound E - |u00| and |u00| is its level."""
     if sys.bc != "neumann" or not (sys.lambdas > 0).any():
         raise DomainError("need a Neumann trace with a positive eigenvalue")
     E = trace.energies
@@ -291,8 +290,9 @@ def verify_neumann(trace: SolutionTrace, sys: EigenSystem, alpha: float,
             # no fluctuation at all: an exact plateau
             rep = DecayReport(verdict="upper_only_ok", predicted_exponent=s,
                               envelope_lower=0.0, envelope_upper=0.0)
-        return rep
-    return decayfit.check_envelope(tau, E, s, two_sided=True)
+        return replace(rep, rate=lam2, level=abs(u00))
+    return replace(decayfit.check_envelope(tau, E, s, two_sided=True),
+                   rate=lam2)
 
 
 # }}}

@@ -48,6 +48,16 @@ def test_ode_solve_writes_envelope_columns(tmp_path, capsys):
     assert np.all(cols["H"][inner] <= cols["super_envelope"][inner] * (1 + 1e-9))
 
 
+def test_ode_solve_checks_alpha_before_solving(tmp_path, monkeypatch):
+    # the envelopes refuse alpha = 1 before any step is taken
+    def no_solve(*args):
+        raise AssertionError("solved before the alpha check")
+    monkeypatch.setattr(cli, "solve_semilinear", no_solve)
+    assert run("--out", str(tmp_path), "ode", "solve", "--alpha", "1",
+               "--beta", "0.5", "--delta", "2", "--nu", "1", "--h0", "1",
+               "--steps", "65536") == 2
+
+
 def test_ode_solve_large_data_keeps_the_exact_root(tmp_path):
     # the first step's root is 1.0660681694172987e19; an absolute root
     # tolerance of 1e-14 * rhs once returned 0 at every step here
@@ -105,6 +115,17 @@ def test_subdiffusion_neumann_plateau_is_ok(tmp_path, capsys):
     assert np.all(cols["E"] <= cols["bound_upper"])
 
 
+@pytest.mark.parametrize("extra",
+                         [[], ["--bc", "neumann", "--u0", "mean_zero"]],
+                         ids=["dirichlet", "neumann-mean-zero"])
+def test_subdiffusion_default_beta_is_ok(tmp_path, capsys, extra):
+    # beta = 0 puts every mode on E_alpha(-lam t^alpha), the m = 1 decay
+    # form, whose deep arguments take the flagged surrogate
+    assert run("--out", str(tmp_path), "subdiffusion", "solve",
+               "--alpha", "0.5", *extra) == 0
+    assert "sandwich_ok" in capsys.readouterr().out
+
+
 def test_heat_solve(tmp_path):
     assert run("--out", str(tmp_path), "heat", "solve",
                "--coeff-kind", "power", "--kappa", "1", "--beta", "1",
@@ -137,6 +158,15 @@ def test_nonlinear_hypothesis_violation_names_key(tmp_path, capsys):
                "--points", "63", "--steps", "64")
     assert code == 2
     assert "beta" in capsys.readouterr().err
+
+
+def test_nonlinear_zero_kappa_names_key(tmp_path, capsys):
+    code = run("--out", str(tmp_path), "nonlinear", "solve", "--kappa", "0",
+               "--points", "63", "--steps", "64")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "kappa" in err and "beta" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_nonlinear_sweep_file(tmp_path, capsys):

@@ -29,6 +29,20 @@ def _operator_rows(spec, u, g):
     return (R * Du[1:] - L * Du[:-1]) / g.h
 
 
+@pytest.mark.parametrize("kappa, beta, key", [(0.0, 0.5, "kappa"),
+                                              (math.nan, 0.5, "kappa"),
+                                              (1.0, -0.5, "beta")])
+def test_coefficient_hypothesis_enforced(kappa, beta, key):
+    # a(t) >= kappa t^beta needs kappa > 0 and beta > -alpha; the error
+    # names the field that fails and only that one
+    g = SpatialGrid1D(math.pi, 7)
+    coeff = CoefficientSpec(kind="power", kappa=kappa, beta=beta)
+    with pytest.raises(DomainError, match=key) as exc:
+        solve_nonlinear(OperatorSpec(kind="laplace"), SourceSpec(), 0.5,
+                        coeff, np.sin(g.x), g, TimeGrid(1.0, 4, 1.0))
+    assert {"kappa": "beta", "beta": "kappa"}[key] not in str(exc.value)
+
+
 def test_grid_geometry():
     g = SpatialGrid1D(math.pi, 31)
     assert g.h == pytest.approx(math.pi / 32)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, gammasgn
+from scipy.special import erfcx, gammaln, gammasgn
 
 from fracdecay import specfun
 from fracdecay.errors import FracdecayError, InadmissibleParams, NonConvergence
@@ -104,11 +104,13 @@ def test_small_alpha_deep_argument_stays_in_bounds():
 
 
 @settings(max_examples=25, deadline=None, database=None)
-@given(alpha=st.floats(0.1, 0.95), m=st.floats(1.05, 5.0),
+@given(alpha=st.floats(0.1, 0.95), m=st.floats(1.0, 5.0),
        z1=st.floats(0.0, 60.0), z2=st.floats(0.0, 60.0))
+@example(alpha=0.7, m=1.0, z1=0.5, z2=50.0)
 def test_decay_family_within_bounds_and_monotone(alpha, m, z1, z2):
     # on the decay family l = m - 1, E(-z) lies between the two-sided
-    # bounds and does not increase in z, also past the surrogate seam
+    # bounds and does not increase in z, also past the surrogate seam;
+    # m = 1 is E_alpha(-z) with Simon's bounds
     p = KilbasSaigoParams(alpha=alpha, m=m, l=m - 1.0)
     lo, hi = sorted((z1, z2))
     v_lo, v_hi = kilbas_saigo(p, -lo), kilbas_saigo(p, -hi)
@@ -116,6 +118,21 @@ def test_decay_family_within_bounds_and_monotone(alpha, m, z1, z2):
         b = kilbas_saigo_bounds(alpha, m, z)
         assert b.lower - 1e-9 <= v <= b.upper + 1e-9
     assert v_hi <= v_lo + 1e-12
+
+
+def test_half_order_decay_form_is_erfcx():
+    # E_{1/2,1,0}(-x) = E_{1/2}(-x) = erfcx(x): Simon's m = 1 bounds hold
+    # it, and below the surrogate seam the series matches it
+    p = KilbasSaigoParams(alpha=0.5, m=1.0, l=0.0)
+    assert p.is_decay_form
+    for x in (1e-3, 0.5, 2.0, 5.0, 9.0, 20.0, 1e3):
+        v, approx = kilbas_saigo_with_info(p, -x)
+        b = kilbas_saigo_bounds(0.5, 1.0, x)
+        assert b.lower <= erfcx(x) <= b.upper
+        assert b.lower <= v <= b.upper
+        assert approx == (x > 10.0)
+        if not approx:
+            assert v == pytest.approx(erfcx(x), rel=1e-10)
 
 
 def test_gamma_pole_rejected():

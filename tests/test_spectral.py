@@ -109,6 +109,36 @@ def test_report_fit_is_the_power_tail_fit():
     assert (rep.fitted_exponent, rep.residual_rms) == (s, resid)
 
 
+@pytest.mark.parametrize("bc, u0k", [
+    ("dirichlet", [1.0, 0.0, 0.3, 0.0]),
+    ("neumann", [2.0, 0.0, 0.0, 0.0]),
+    ("neumann", [2.0, 0.5, 0.0, 0.1]),
+    ("neumann", [0.0, 1.0, 0.0, 0.5]),
+], ids=["dirichlet", "neumann-constant", "neumann-level", "neumann-mean-zero"])
+def test_report_bounds_are_the_envelope_profile(bc, u0k):
+    # bit for bit level + constant / (1 + lam t^(a+b)), lam the first
+    # positive eigenvalue (not 1 on this interval) and level |u00| when
+    # Neumann data has a mean
+    sys_ = interval_eigensystem(2.0, bc, 4)
+    times = log_times(1e3)
+    tr = solve_subdiffusion(sys_, 0.5, 0.5, np.array(u0k), times)
+    if bc == "dirichlet":
+        rep = verify_dirichlet_sandwich(tr, sys_, 0.5, 0.5)
+        level = 0.0
+    else:
+        rep = verify_neumann(tr, sys_, 0.5, 0.5, u0k[0], u0k[1])
+        level = abs(u0k[0])
+    lam = sys_.lambdas[sys_.lambdas > 0][0]
+    prof = 1.0 + lam * times ** (0.5 + 0.5)
+    lo, hi = rep.bounds(times)
+    assert lo.tobytes() == (level + rep.envelope_lower / prof).tobytes()
+    assert hi.tobytes() == (level + rep.envelope_upper / prof).tobytes()
+    assert rep.verdict in ("sandwich_ok", "upper_only_ok")
+    live = tr.energies > 1e-12
+    assert np.all(lo[live] <= tr.energies[live] * (1 + 1e-12))
+    assert np.all(tr.energies <= hi * (1 + 1e-12))
+
+
 def test_log_times_validation():
     assert np.all(np.diff(log_times(10.0, t_min=0.1)) > 0)
     for T, t_min in ((math.inf, 1e-2), (math.nan, 1e-2), (1e-3, 1e-2),
@@ -166,11 +196,6 @@ def test_tabulated_primitive_matches_trapezoid():
 
 
 def test_hypothesis_flag():
-    assert CoefficientSpec(kind="power", kappa=1.0,
-                           beta=-0.25).satisfies_hypothesis(0.5)
-    assert not CoefficientSpec(kind="power", kappa=1.0,
-                               beta=-0.75).satisfies_hypothesis(0.5)
-    assert not CoefficientSpec(kind="logarithmic").satisfies_hypothesis(0.5)
     with pytest.raises(DomainError):
         CoefficientSpec(kind="logarithmic").value(1.0)
 
