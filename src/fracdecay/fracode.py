@@ -109,14 +109,21 @@ class CaputoL1Operator:
 
     def _weights(self, n0: int, start: int, out) -> np.ndarray:
         """Weights a_{n,k} of the rows n = n0+1..n1 over k = start+1..end,
-        written into ``out`` of shape (n1 - n0, end - start); 0 for k > n."""
+        written into ``out`` of shape (n1 - n0, end - start); 0 for k > n.
+        An ``out`` in Fortran order, the transpose of a C block with one
+        row per k, is filled along those rows."""
         n1, end = n0 + out.shape[0], start + out.shape[1]
         if self.alpha == 1.0:
             # (t_n - t_k)^(1-a) -> 1 for k < n but -> 0 for k = n
             out[...] = 0.0
             np.fill_diagonal(out[:, n0 - start:], 1.0 / self._h[n0:n1])
             return out
-        p = self._t[n0 + 1:n1 + 1, None] - self._t[start:end + 1]
+        if out.flags.f_contiguous and not out.flags.c_contiguous:
+            # p in out's layout: one long loop per k, where C order would
+            # take one short loop per node n
+            p = (self._t[n0 + 1:n1 + 1] - self._t[start:end + 1, None]).T
+        else:
+            p = self._t[n0 + 1:n1 + 1, None] - self._t[start:end + 1]
         np.maximum(p, 0.0, out=p)
         p **= 1.0 - self.alpha  # 0 for k >= n; p is the one temporary
         np.subtract(p[:, :-1], p[:, 1:], out=out)

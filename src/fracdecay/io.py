@@ -30,9 +30,10 @@ def write_csv_atomic(path: str, header, columns) -> str:
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ConfigError("columns must have equal length")
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(format_value(c[i]) for c in columns))
+    # one tolist() per column: Python numbers format as their NumPy
+    # elements do, without a NumPy scalar per value
+    cells = [map(format_value, c.tolist()) for c in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     body = "\n".join(lines) + "\n"
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)

@@ -78,6 +78,18 @@ def test_weights_row_is_the_two_power_formula(alpha, horizon, steps, grading):
         assert np.array_equal(_row(op, n), expected)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_weights_into_fortran_order_match_rows(alpha):
+    # the transpose of a C block, one row per k, holds the same weights
+    op = CaputoL1Operator(TimeGrid(5.0, 100, 3.0), alpha)
+    for n0, start, rows, cols in [(0, 0, 40, 32), (40, 32, 60, 32),
+                                  (10, 32, 1, 5), (99, 96, 1, 1)]:
+        rowwise = op._weights(n0, start, np.empty((rows, cols)))
+        by_k = np.empty((cols, rows))
+        op._weights(n0, start, by_k.T)
+        assert np.array_equal(by_k.T, rowwise)
+
+
 def test_derivative_of_constant_is_zero():
     grid = TimeGrid(2.0, 40, 2.0)
     op = CaputoL1Operator(grid, 0.6)

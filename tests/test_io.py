@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fracdecay.errors import ConfigError
-from fracdecay.io import (parse_experiment_file, read_csv_columns,
-                          write_csv_atomic)
+from fracdecay.io import (format_value, parse_experiment_file,
+                          read_csv_columns, write_csv_atomic)
 
 
 def test_csv_round_trip_is_lossless(tmp_path):
@@ -19,6 +19,31 @@ def test_csv_round_trip_is_lossless(tmp_path):
     assert names == ["t", "E"]
     assert np.array_equal(cols["t"], t)
     assert np.array_equal(cols["E"], e)
+
+
+def test_csv_bytes_are_the_per_element_format(tmp_path):
+    # the column-wise writer formats each value as format_value does on
+    # the NumPy element itself
+    rng = np.random.default_rng(11)
+    floats = np.concatenate([[-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
+                              -5e-324, 1.7976931348623157e308, 0.1, 1e16],
+                             rng.standard_normal(6) * 10.0 ** rng.integers(
+                                 -300, 300, 6)])
+    ints = np.array([0, -1, 7, 2 ** 53 + 1, -(2 ** 62), 3] + [12] * 10,
+                    dtype=np.int64)
+    bools = np.arange(16) % 3 == 0
+    small = np.array([-0.0, np.nan, -np.inf, 1e-45, 0.1, 3.4e38] * 2
+                     + [1.0] * 4, dtype=np.float32)
+    columns = [floats, ints, bools, small, list(range(16))]
+    header = ["f", "i", "b", "f32", "py"]
+    path = str(tmp_path / "types.csv")
+    write_csv_atomic(path, header, columns)
+    arrays = [np.asarray(c) for c in columns]
+    expected = "".join(
+        [",".join(header) + "\n"]
+        + [",".join(format_value(c[i]) for c in arrays) + "\n"
+           for i in range(16)])
+    assert open(path, "rb").read() == expected.encode()
 
 
 def test_csv_unix_line_endings_and_header(tmp_path):

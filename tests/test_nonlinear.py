@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from fracdecay import reproduce
 from fracdecay.decayfit import check_envelope
 from fracdecay.errors import (DomainError, FracdecayError, NonFiniteState,
                               PositivityLoss, StepDivergence)
 from fracdecay.fracode import (CaputoL1Operator, TimeGrid, default_grading,
                                solve_linear_mode)
-from fracdecay.nonlinear import (OperatorSpec, SourceSpec, SpatialGrid1D,
-                                 _half_coefficient, check_energy_inequality,
-                                 predict_exponent, solve_nonlinear)
+from fracdecay.nonlinear import (FieldTrace, OperatorSpec, SourceSpec,
+                                 SpatialGrid1D, _half_coefficient,
+                                 check_energy_inequality, predict_exponent,
+                                 solve_nonlinear)
 from fracdecay.spectral import CoefficientSpec
 
 COEFF = CoefficientSpec(kind="power", kappa=1.0, beta=0.5)
@@ -176,6 +178,27 @@ def test_energy_inequality_margins():
                          0.5, COEFF, u0, g, tg, sweeps=2)
     margins = check_energy_inequality(tr, 0.5)
     assert np.min(margins) >= -1e-10
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(N=st.one_of(st.sampled_from([1, 31, 32, 33, 64, 65, 97]),
+                   st.integers(1, 100)),
+       alpha=st.floats(0.05, 0.99), grading=st.floats(1.0, 4.0),
+       M=st.integers(3, 15))
+def test_energy_margins_match_the_exact_apply(N, alpha, grading, M):
+    # blocks of B = 32 increments against h sum u D^a u - E D^a E through
+    # the N x M apply: fewer steps than one block, one block, one past it
+    # and partial last blocks
+    g = SpatialGrid1D(math.pi, M)
+    tg = TimeGrid(10.0, N, grading)
+    tr = solve_nonlinear(OperatorSpec(kind="laplace"), SourceSpec(), alpha,
+                         COEFF, np.sin(g.x) + 0.3 * np.sin(2.0 * g.x), g, tg)
+    dE, dU = CaputoL1Operator(tg, alpha).apply(tr.energies, tr.fields)
+    rhs = g.h * np.sum(tr.fields[1:] * dU, axis=1)
+    margins = check_energy_inequality(tr, alpha)
+    assert margins.shape == (N,)
+    assert np.all(np.abs(margins - (rhs - tr.energies[1:] * dE))
+                  <= 1e-14 * np.maximum(1.0, np.abs(rhs)))
 
 
 def test_energy_inequality_needs_fields():
@@ -460,3 +483,39 @@ def test_field_history_memory_does_not_grow_with_steps():
     op = CaputoL1Operator(TimeGrid(10.0, N, 2.0), 0.5)
     field = np.random.default_rng(3).standard_normal((N + 1, 255))
     assert _traced_peak(op.apply, field) <= 1.25 * N * 255 * 8
+
+
+def test_energy_check_holds_no_second_history():
+    # the margins go by blocks of increments: B x N products and B x 256
+    # weights, 0.21 of one N x M array here (apply's path took 1.2)
+    N, M = 2048, 255
+    g = SpatialGrid1D(math.pi, M)
+    tg = TimeGrid(100.0, N, 3.0)
+    U = np.random.default_rng(5).standard_normal((N + 1, M))
+    tr = FieldTrace(tg.nodes, np.sqrt(g.h * np.sum(U * U, axis=1)), g, tg,
+                    fields=U)
+    assert _traced_peak(check_energy_inequality, tr, 0.5) < N * M * 8 / 4
+
+
+def test_operator_suite_keeps_margins_not_fields():
+    suite = reproduce.run_operator_suite(points=63, steps=256)
+    assert [c[0] for c in suite] == [n for n, _ in reproduce._OPERATOR_CASES]
+    for (name, tr, _, margins), (_, kw) in zip(suite,
+                                               reproduce._OPERATOR_CASES):
+        assert tr.fields is None
+        kept, _ = reproduce._fd_run(OperatorSpec(**kw), SourceSpec(),
+                                    lambda g: 0.5 * np.sin(g.x), 63, 256,
+                                    100.0)
+        assert kept.energies.tobytes() == tr.energies.tobytes()
+        assert check_energy_inequality(kept, 0.5).tobytes() \
+            == margins.tobytes(), name
+
+
+def test_operator_suite_holds_one_history_at_a_time():
+    # five runs whose histories were all alive at once (5.7 histories
+    # before); now each run's margins come right after its solve.  At 63 x
+    # 256 the solver's own buffers alone come to about two histories.
+    points, steps = 255, 512
+    peak = _traced_peak(reproduce.run_operator_suite, points=points,
+                        steps=steps)
+    assert peak < 2 * (steps + 1) * points * 8
