@@ -17,8 +17,9 @@ once, and a_nn u_{n-1} - hist once per step; each sweep only writes into
 these buffers, and a single sweep computes no residual.
 
 Energies are summed per block of nodes from `march`; only keep_fields=True
-keeps the N x M field history.  The energy check on it goes by blocks of
-increments and adds block-sized buffers, no second N x M array.
+keeps the N x M field history.  The energy check on it takes the exact
+weights pair by pair from `CaputoL1Operator._weight_blocks`, as `apply`
+does, and adds pair-sized buffers, no second N x M array.
 """
 
 from __future__ import annotations
@@ -32,14 +33,8 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import (DomainError, NonFiniteState, PositivityLoss,
                      StepDivergence)
-from .fracode import _BLOCK, CaputoL1Operator, TimeGrid
+from .fracode import CaputoL1Operator, TimeGrid
 from .spectral import CoefficientSpec
-
-# nodes per weight chunk of the energy check; at 511 x 4096 the check takes
-# 0.24 s with 256 or 512 (0.25 s for the N x M exact apply; one BLAS
-# thread, 2-core Xeon), and at 255 x 2048 it peaks at 0.21 of one N x M
-# array with 256, 0.24 with 512
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -297,35 +292,19 @@ def check_energy_inequality(trace: FieldTrace, alpha: float) -> np.ndarray:
 
     Both sides use the same discrete L1 operator with its exact weights;
     nonnegative margins (up to roundoff) certify the discrete energy
-    inequality the decay estimates rest on.  The increments go in blocks
-    K = (k0, k1] of B = _BLOCK: one product gives du_k . u_n for k in K and
-    every n > k0, and weight chunks of _CHUNK nodes n add
-    sum_k a_{n,k} du_k . u_n and D^a E.  So the check holds B x N
-    products and B x _CHUNK weights, not an N x M array.
+    inequality the decay estimates rest on.  Per pair of an increment block
+    K and a chunk of nodes n from `_weight_blocks`, the weights add D^a E
+    and sum_{k in K} a_{n,k} du_k . u_n, whose inner products du_k . u_n
+    are one K x chunk matrix product: no N x M array is made.
     """
     if trace.fields is None:
         raise DomainError("trace was run with keep_fields=False")
     op = CaputoL1Operator(trace.tgrid, alpha)
     U, E = trace.fields, trace.energies
     N = trace.tgrid.steps
-    B = min(_BLOCK, N)
-    # flat buffers, so that every block and chunk is a C array
-    prod = np.empty(B * N)
-    w = np.empty(B * min(_CHUNK, N))  # a_{n,k}, one row per k
     dE = np.zeros(N)    # D^a E at t_1..t_N
     pair = np.zeros(N)  # sum_k a_{n,k} du_k . u_n
-    for k0 in range(0, N, B):
-        k1 = min(k0 + B, N)
-        m = k1 - k0
-        dE_K = np.diff(E[k0:k1 + 1])
-        P = np.matmul(np.diff(U[k0:k1 + 1], axis=0), U[k0 + 1:].T,
-                      out=prod[:m * (N - k0)].reshape(m, N - k0))
-        for n0 in range(k0, N, _CHUNK):
-            n1 = min(n0 + _CHUNK, N)
-            W = w[:m * (n1 - n0)].reshape(m, n1 - n0)
-            op._weights(n0, k0, W.T)
-            dE[n0:n1] += dE_K @ W
-            W *= P[:, n0 - k0:n1 - k0]
-            pair[n0:n1] += W.sum(axis=0)
+    for n0, n1, W, (dE_K, dU_K) in op._weight_blocks(E, U):
+        dE[n0:n1] += W @ dE_K
+        pair[n0:n1] += np.einsum("ij,ji->i", W, dU_K @ U[n0 + 1:n1 + 1].T)
     return trace.grid.h * pair - E[1:] * dE
-

@@ -4,11 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from fracdecay import reproduce
+from fracdecay import fracode, reproduce
 from fracdecay.decayfit import check_envelope
 from fracdecay.errors import (DomainError, FracdecayError, NonFiniteState,
                               PositivityLoss, StepDivergence)
@@ -180,24 +180,38 @@ def test_energy_inequality_margins():
     assert np.min(margins) >= -1e-10
 
 
+def _per_row_sides(tr, alpha):
+    """h u_n . D^a u and E_n D^a E at t_1..t_N, one weight row at a time."""
+    op = CaputoL1Operator(tr.tgrid, alpha)
+    U, E = tr.fields, tr.energies
+    dU, dE = np.diff(U, axis=0), np.diff(E)
+    rhs, lhs = np.empty((2, tr.tgrid.steps))
+    for n in range(1, tr.tgrid.steps + 1):
+        w = op._weights(n - 1, 0, np.empty((1, n)))[0]
+        rhs[n - 1] = tr.grid.h * (U[n] @ (w @ dU[:n]))
+        lhs[n - 1] = E[n] * (w @ dE[:n])
+    return rhs, lhs
+
+
 @settings(max_examples=60, deadline=None, database=None)
-@given(N=st.one_of(st.sampled_from([1, 31, 32, 33, 64, 65, 97]),
+@given(N=st.one_of(st.sampled_from([1, 31, 32, 33, 64, 65, 97,
+                                    fracode._CHUNK + 1, fracode._CHUNK + 76]),
                    st.integers(1, 100)),
        alpha=st.floats(0.05, 0.99), grading=st.floats(1.0, 4.0),
        M=st.integers(3, 15))
+@example(N=fracode._CHUNK + 76, alpha=0.3, grading=3.0, M=7)
 def test_energy_margins_match_the_exact_apply(N, alpha, grading, M):
-    # blocks of B = 32 increments against h sum u D^a u - E D^a E through
-    # the N x M apply: fewer steps than one block, one block, one past it
-    # and partial last blocks
+    # pairs of B = 32 increments and 1024 nodes against the exact D^a
+    # taken row by row: fewer steps than one block, one block, one past
+    # it, partial last blocks, and more nodes than one chunk
     g = SpatialGrid1D(math.pi, M)
     tg = TimeGrid(10.0, N, grading)
     tr = solve_nonlinear(OperatorSpec(kind="laplace"), SourceSpec(), alpha,
                          COEFF, np.sin(g.x) + 0.3 * np.sin(2.0 * g.x), g, tg)
-    dE, dU = CaputoL1Operator(tg, alpha).apply(tr.energies, tr.fields)
-    rhs = g.h * np.sum(tr.fields[1:] * dU, axis=1)
+    rhs, lhs = _per_row_sides(tr, alpha)
     margins = check_energy_inequality(tr, alpha)
     assert margins.shape == (N,)
-    assert np.all(np.abs(margins - (rhs - tr.energies[1:] * dE))
+    assert np.all(np.abs(margins - (rhs - lhs))
                   <= 1e-14 * np.maximum(1.0, np.abs(rhs)))
 
 
@@ -476,9 +490,8 @@ def test_field_history_memory_does_not_grow_with_steps():
                           keep_fields=False)
              for N in (2048, 8192)]
     assert peaks[1] < 4e6 and peaks[1] <= 1.5 * peaks[0]
-    # apply writes its result over its own increments: one N x M array,
-    # plus B x N weights, an 8 x N temporary and NumPy's fixed 64 kB
-    # iteration buffers (2.5 N x M before)
+    # apply adds each pair's product into its one N x M result in place,
+    # plus B x M increments and 1024 x B weights (1.19 N x M here)
     N = 2048
     op = CaputoL1Operator(TimeGrid(10.0, N, 2.0), 0.5)
     field = np.random.default_rng(3).standard_normal((N + 1, 255))
@@ -486,8 +499,9 @@ def test_field_history_memory_does_not_grow_with_steps():
 
 
 def test_energy_check_holds_no_second_history():
-    # the margins go by blocks of increments: B x N products and B x 256
-    # weights, 0.21 of one N x M array here (apply's path took 1.2)
+    # the margins go by pairs of B increments and 1024 nodes: 1024 x B
+    # weights and products, 0.21 of one N x M array here (1.2 through
+    # apply)
     N, M = 2048, 255
     g = SpatialGrid1D(math.pi, M)
     tg = TimeGrid(100.0, N, 3.0)
