@@ -6,13 +6,14 @@ slope of the piecewise-linear interpolant, giving at node t_n
     (D^a u)_n ~= sum_{k=1..n} a_{n,k} (u_k - u_{k-1}),
     a_{n,k} = [(t_n - t_{k-1})^{1-a} - (t_n - t_k)^{1-a}] / (G(2-a) h_k).
 
-Weights are generated on demand (the full table is O(N^2)); the
-stepper `CaputoL1Operator.march` takes the weights from earlier blocks of
-steps as a sum of exponentials, in O(N) time per node.  The exact O(N^2)
-sum, which `apply` and the energy check take, walks one loop over pairs
-of an increment block and a chunk of nodes (`_weight_blocks`).  Solutions
-of the mode equation  D^a u + lam t^b u = 0  carry a weak singularity at
-t = 0, which the graded mesh t_j = T (j/N)^r compensates.
+Weights are generated on demand (the full table is O(N^2)).  The L1
+history by blocks of steps, exact weights inside a block and a sum of
+exponentials for the blocks before it, exists once, as
+`CaputoL1Operator._history`: `march` steps with it in O(N) time per node,
+and the energy check takes its margins from it.  `apply` is the exact
+O(N^2) sum, the independent reference.  Solutions of the mode equation
+D^a u + lam t^b u = 0  carry a weak singularity at t = 0, which the graded
+mesh t_j = T (j/N)^r compensates.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from .errors import DomainError, GridMismatch, RootSolveFailure
 # fd_stepping solves (best of 4: 0.77 s against 0.79-0.88 s for 16, 24, 48
 # and 64, one BLAS thread, 2-core Xeon)
 _BLOCK = 32
-# nodes per weight chunk of the exact sum; at 511 x 4096 the energy check
-# took 0.25 s with 1024, 0.26 s with 512 and 0.27 s with 256 (one BLAS
-# thread, 2-core Xeon), and a chunk holds 1024 x 32 weights and products
+# nodes per chunk of apply's exact sum; 1024 beat 512 and 256 on a 511 x 4096
+# exact-sum energy check (0.25 against 0.26, 0.27 s, one BLAS thread)
 _CHUNK = 1024
 _CUT = 40.0  # an exponential e^{-s x} is dropped where s x > 40
 
@@ -127,58 +127,40 @@ class CaputoL1Operator:
         np.subtract(p[:, :-1], p[:, 1:], out=out)
         return np.divide(out, self._g2h[start:end], out=out)
 
-    def _weight_blocks(self, *samples):
-        """The exact weights by pairs of an increment block K = (k0, k1] of
-        _BLOCK steps and a chunk n0 < n <= n1 of up to _CHUNK nodes, n0 >= k0.
-
-        Yields (n0, n1, W, dK) per pair: W[i, j] = a_{n0+1+i, k0+1+j}, 0 for
-        k > n, and dK the increments u_k - u_{k-1}, k in K, of each sample,
-        an (N+1,) or (N+1, M) array.  The next pair overwrites W.
-        """
-        N = self.grid.steps
-        B = min(_BLOCK, N)
-        w = np.empty(min(_CHUNK, N) * B)
-        for k0 in range(0, N, B):
-            k1 = min(k0 + B, N)
-            dK = [np.diff(s[k0:k1 + 1], axis=0) for s in samples]
-            for n0 in range(k0, N, _CHUNK):
-                n1 = min(n0 + _CHUNK, N)
-                W = w[:(n1 - n0) * (k1 - k0)].reshape(n1 - n0, k1 - k0)
-                yield n0, n1, self._weights(n0, k0, W), dK
-
     def apply(self, samples: np.ndarray) -> np.ndarray:
-        """Discrete D^a of per-node samples; values at t_1..t_N.
-
-        ``samples`` may be (N+1,) or (N+1, M) for M independent
-        trajectories; the exact sum goes by `_weight_blocks`, and the
-        caller's array is not written to.
+        """Discrete D^a of (N+1,) or (N+1, M) per-node samples at t_1..t_N:
+        the exact O(N^2) sum, by pairs of a block of _BLOCK increments and a
+        chunk of up to _CHUNK nodes.  The caller's array is not written to.
         """
         samples = np.asarray(samples, dtype=float)
         N = self.grid.steps
         if samples.shape[0] != N + 1:
-            raise GridMismatch(
-                f"expected {N + 1} samples, got {samples.shape[0]}"
-            )
+            raise GridMismatch(f"expected {N + 1} samples, got {len(samples)}")
         out = np.zeros((N,) + samples.shape[1:])
         out2 = out.reshape(N, -1)  # a 2-D view, also of a 1-D result
-        for n0, n1, W, (dK,) in self._weight_blocks(samples):
-            # out += W dK in place: BLAS writes the transposed view of out
-            dgemm(1.0, dK.reshape(len(dK), -1).T, W.T, 1.0, out2[n0:n1].T,
-                  overwrite_c=1)
+        B = min(_BLOCK, N)
+        w = np.empty(min(_CHUNK, N) * B)
+        for k0 in range(0, N, B):
+            k1 = min(k0 + B, N)
+            dK = np.diff(samples[k0:k1 + 1], axis=0).reshape(k1 - k0, -1)
+            for n0 in range(k0, N, _CHUNK):
+                n1 = min(n0 + _CHUNK, N)
+                W = w[:(n1 - n0) * (k1 - k0)].reshape(n1 - n0, k1 - k0)
+                self._weights(n0, k0, W)
+                # out += W dK in place: BLAS writes the transposed view of out
+                dgemm(1.0, dK.T, W.T, 1.0, out2[n0:n1].T, overwrite_c=1)
         return out
 
-    def march(self, u0, solve):
-        """Implicit L1 time stepping from u0, a scalar or an (M,) field.
+    def _history(self, shape):
+        """The L1 history of samples of ``shape`` (() or (M,)) by blocks.
 
-        At each node t_n, n = 1..N, the scheme reads
-        a_nn (u_n - u_{n-1}) + hist = (rest of the equation at t_n) with the
-        explicit history hist = sum_{k<n} a_{n,k} (u_k - u_{k-1});
-        ``solve(n, a_nn, hist, u_{n-1})`` returns u_n.  Yields (n0, V) per
-        block, V = u_{n0..n1}, a view that the next block overwrites.
+        Per block n0 < n <= n1 = n0 + m of B = _BLOCK steps, yields (n0, m,
+        W, far, dU): the exact in-block weights W[i, j] = a_{n0+1+i, n0+1+j}
+        (0 for k > n), far[i], node n0+1+i's history from before n0, and
+        dU, which the caller fills with the block's m increments before it
+        resumes the generator; the next block overwrites all three.
 
-        Steps go in blocks of B = _BLOCK.  Terms from a step's own block
-        take the exact two-power weights.  The far part, from the blocks
-        before the block start n0, is a sum of exponentials,
+        The far part is a sum of exponentials,
             far_n = sum_j c_j e^{-s_j (t_n - t_n0)} Y_j,
             Y_j = sum_{k<=n0} e^{-s_j (t_n0 - t_k)} phi(s_j h_k) (u_k - u_{k-1}),
         with phi(z) = -expm1(-z)/z the exact mean of each exponential over
@@ -191,13 +173,11 @@ class CaputoL1Operator:
         The first block (N <= B is exact, bit for bit) and alpha = 1, whose
         far weights vanish, have no far part.
         """
-        u0 = np.asarray(u0, dtype=float)
         N = self.grid.steps
         B = min(_BLOCK, N)
-        U = np.full((B + 1,) + u0.shape, u0)  # u_n0..u_n1 of this block
-        dU = np.empty((B,) + u0.shape)  # and its increments
+        dU = np.empty((B,) + shape)
         W = np.empty((B, B))  # row i: in-block weights of step n0 + 1 + i
-        far = np.zeros((B,) + u0.shape)
+        far = np.zeros((B,) + shape)
         t, h = self._t, self._h
         J = 0  # nodes in use; none without a far part
         if N > B and self.alpha < 1.0:
@@ -215,10 +195,7 @@ class CaputoL1Operator:
                 np.multiply.outer(t[n0] - t[n0 + 1:n1 + 1], s[:J], out=Ej)
                 np.multiply(np.exp(Ej, out=Ej), c[:J], out=Ej)
                 np.matmul(Ej, Y[:J], out=far2[:m])
-            for i, n in enumerate(range(n0 + 1, n1 + 1)):
-                hist = far[i] + W[i, :i].dot(dU[:i])
-                U[i + 1] = solve(n, W[i, i], hist, U[i])
-                dU[i] = U[i + 1] - U[i]
+            yield n0, m, W[:m, :m], far[:m], dU[:m]
             if n1 < N and J:  # every block but the last is full
                 # far distances from here on are >= h_{n1+1}
                 J = min(J, int(np.searchsorted(s, _CUT / h[n1], "right")))
@@ -231,6 +208,23 @@ class CaputoL1Operator:
                 Y[:J] *= np.exp((t[n0] - t[n1]) * sj)[:, None]
                 # Y += G dU in place: BLAS writes the transposed view of Y
                 dgemm(1.0, dU2.T, Gj.T, 1.0, Y[:J].T, overwrite_c=1)
+
+    def march(self, u0, solve):
+        """Implicit L1 time stepping from u0, a scalar or an (M,) field.
+
+        At each node t_n, n = 1..N, the scheme reads
+        a_nn (u_n - u_{n-1}) + hist = (rest of the equation at t_n) with the
+        explicit history hist = sum_{k<n} a_{n,k} (u_k - u_{k-1}) from
+        `_history`; ``solve(n, a_nn, hist, u_{n-1})`` returns u_n.  Yields
+        (n0, V) per block, V = u_{n0..n1}, a view the next block overwrites.
+        """
+        u0 = np.asarray(u0, dtype=float)
+        U = np.full((min(_BLOCK, self.grid.steps) + 1,) + u0.shape, u0)
+        for n0, m, W, far, dU in self._history(u0.shape):
+            for i, n in enumerate(range(n0 + 1, n0 + m + 1)):
+                hist = far[i] + W[i, :i].dot(dU[:i])
+                U[i + 1] = solve(n, W[i, i], hist, U[i])
+                dU[i] = U[i + 1] - U[i]
             yield n0, U[:m + 1]
             U[0] = U[m]
 

@@ -17,9 +17,9 @@ once, and a_nn u_{n-1} - hist once per step; each sweep only writes into
 these buffers, and a single sweep computes no residual.
 
 Energies are summed per block of nodes from `march`; only keep_fields=True
-keeps the N x M field history.  The energy check on it takes the exact
-weights pair by pair from `CaputoL1Operator._weight_blocks`, as `apply`
-does, and adds pair-sized buffers, no second N x M array.
+keeps the N x M field history.  The energy check on it drives the
+history `march` steps with, `CaputoL1Operator._history`, block by block,
+and adds block-sized buffers, no second N x M array.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import (DomainError, NonFiniteState, PositivityLoss,
-                     StepDivergence)
+from .errors import (DomainError, GridMismatch, NonFiniteState,
+                     PositivityLoss, StepDivergence)
 from .fracode import CaputoL1Operator, TimeGrid
 from .spectral import CoefficientSpec
 
@@ -290,21 +290,25 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
 def check_energy_inequality(trace: FieldTrace, alpha: float) -> np.ndarray:
     """Margins of  ||u|| D^a ||u|| <= int u D^a u  at nodes t_1..t_N.
 
-    Both sides use the same discrete L1 operator with its exact weights;
-    nonnegative margins (up to roundoff) certify the discrete energy
-    inequality the decay estimates rest on.  Per pair of an increment block
-    K and a chunk of nodes n from `_weight_blocks`, the weights add D^a E
-    and sum_{k in K} a_{n,k} du_k . u_n, whose inner products du_k . u_n
-    are one K x chunk matrix product: no N x M array is made.
+    Both sides take the weights `march` steps with; nonnegative margins (up
+    to roundoff) certify the discrete energy inequality the decay estimates
+    rest on.  Per block of `CaputoL1Operator._history`, D = far + W dU is
+    D^a u at the block's nodes, and a second, scalar pass gives D^a E:
+    O(N J M) work with block-sized buffers, no N x M array.
     """
     if trace.fields is None:
         raise DomainError("trace was run with keep_fields=False")
+    U, E, N = trace.fields, trace.energies, trace.tgrid.steps
+    if not len(U) == len(E) == N + 1:
+        raise GridMismatch(f"expected {N + 1} fields and energies, "
+                           f"got {len(U)} and {len(E)}")
     op = CaputoL1Operator(trace.tgrid, alpha)
-    U, E = trace.fields, trace.energies
-    N = trace.tgrid.steps
-    dE = np.zeros(N)    # D^a E at t_1..t_N
-    pair = np.zeros(N)  # sum_k a_{n,k} du_k . u_n
-    for n0, n1, W, (dE_K, dU_K) in op._weight_blocks(E, U):
-        dE[n0:n1] += W @ dE_K
-        pair[n0:n1] += np.einsum("ij,ji->i", W, dU_K @ U[n0 + 1:n1 + 1].T)
+    pair, dE = np.empty((2, N))  # u_n . D^a u_n and D^a E at t_1..t_N
+    for n0, m, W, far, dU in op._history(U.shape[1:]):
+        np.subtract(U[n0 + 1:n0 + m + 1], U[n0:n0 + m], out=dU)
+        pair[n0:n0 + m] = np.einsum("ij,ij->i", U[n0 + 1:n0 + m + 1],
+                                    far + W @ dU)
+    for n0, m, W, far, dEb in op._history(()):
+        np.subtract(E[n0 + 1:n0 + m + 1], E[n0:n0 + m], out=dEb)
+        dE[n0:n0 + m] = far + W @ dEb
     return trace.grid.h * pair - E[1:] * dE
