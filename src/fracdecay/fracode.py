@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg.blas import dgemm
 
 from .errors import DomainError, GridMismatch, RootSolveFailure
 
@@ -132,6 +131,7 @@ class CaputoL1Operator:
         the exact O(N^2) sum, by pairs of a block of _BLOCK increments and a
         chunk of up to _CHUNK nodes.  The caller's array is not written to.
         """
+        from scipy.linalg.blas import dgemm
         samples = np.asarray(samples, dtype=float)
         N = self.grid.steps
         if samples.shape[0] != N + 1:
@@ -173,6 +173,10 @@ class CaputoL1Operator:
         The first block (N <= B is exact, bit for bit) and alpha = 1, whose
         far weights vanish, have no far part.
         """
+        # scipy.linalg (dgemm here, gtsv in the nonlinear step) loads at a
+        # process's first march, not with the package: the spectral and
+        # special-function paths never step, and its import costs them ~6 MB
+        from scipy.linalg.blas import dgemm
         N = self.grid.steps
         B = min(_BLOCK, N)
         dU = np.empty((B,) + shape)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import (DomainError, GridMismatch, NonFiniteState,
                      PositivityLoss, StepDivergence)
@@ -181,6 +180,7 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
     beta > -alpha, and NonFiniteState when a step system, a state or an
     energy is not finite.
     """
+    from scipy.linalg.lapack import dgtsv
     if not 0.0 < alpha < 1.0:
         raise DomainError("solver requires alpha in (0, 1)")
     if not coeff.kappa > 0:

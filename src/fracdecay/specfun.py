@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import mpmath
@@ -63,8 +64,12 @@ class SeriesAccuracy:
     max_terms: int = 512
 
     def __post_init__(self):
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise DomainError("abs_tol and rel_tol must be finite")
         if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol + self.rel_tol <= 0:
             raise DomainError("need abs_tol + rel_tol > 0 with both nonnegative")
+        if not isinstance(self.max_terms, numbers.Integral):
+            raise DomainError(f"max_terms must be an integer, got {self.max_terms!r}")
         if self.max_terms < 8:
             raise DomainError("max_terms must be at least 8")
 
@@ -112,8 +117,8 @@ def kilbas_saigo_bounds(alpha: float, m: float, z: float) -> BoundPair:
         raise DomainError("bounds require 0 < alpha < 1")
     if not m >= 1.0:
         raise DomainError("bounds require m >= 1")
-    if z < 0.0:
-        raise DomainError("bounds are stated for z >= 0")
+    if not z >= 0.0:  # also NaN
+        raise DomainError(f"bounds are stated for z >= 0, got z = {z!r}")
     lower = 1.0 / (1.0 + math.gamma(1.0 - alpha) * z)
     ratio = math.exp(gammaln(1.0 + (m - 1.0) * alpha) - gammaln(1.0 + m * alpha))
     upper = 1.0 / (1.0 + ratio * z)
@@ -346,6 +351,8 @@ def kilbas_saigo_with_info(params: KilbasSaigoParams, z: float,
     approximate=True marks values from the bound-anchored surrogate used
     for deep negative arguments of the decay family (alpha, m, m-1).
     """
+    if math.isnan(z):
+        raise DomainError("z is NaN")
     if z == 0.0:
         return 1.0, False
     if z < 0.0 and params.is_decay_form:
@@ -372,6 +379,8 @@ def mittag_leffler(alpha: float, beta: float, z: float,
     """
     if not (alpha > 0 and beta > 0):
         raise DomainError("mittag_leffler requires alpha > 0 and beta > 0")
+    if math.isnan(z):
+        raise DomainError("z is NaN")
     if z == 0.0:
         return 1.0 / math.gamma(beta)
     if alpha == beta == 1.0 and z < 0.0:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import erfcx, gammaln, gammasgn
 
 from fracdecay import specfun
-from fracdecay.errors import FracdecayError, InadmissibleParams, NonConvergence
+from fracdecay.errors import (DomainError, FracdecayError, InadmissibleParams,
+                              NonConvergence)
 from fracdecay.specfun import (KilbasSaigoParams, SeriesAccuracy,
                                kilbas_saigo, kilbas_saigo_bounds,
                                kilbas_saigo_with_info, mittag_leffler)
@@ -159,6 +160,31 @@ def test_nonconvergence_outside_decay_family():
     p = KilbasSaigoParams(alpha=0.1, m=2.0, l=0.5)
     with pytest.raises(NonConvergence):
         kilbas_saigo(p, -50.0, SeriesAccuracy(max_terms=64))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"rel_tol": math.nan},
+    {"rel_tol": math.inf}, {"max_terms": 600.5}, {"max_terms": "600"},
+])
+def test_series_accuracy_rejects_unusable_values(kwargs):
+    # a NaN tolerance never stops the sum, an infinite one cannot be a
+    # fixed-point bound, and a fractional budget is no term count
+    with pytest.raises(DomainError):
+        SeriesAccuracy(**kwargs)
+    assert SeriesAccuracy(max_terms=np.int64(600)).max_terms == 600
+
+
+def test_nan_argument_is_a_domain_error():
+    p = KilbasSaigoParams(alpha=0.5, m=2.0, l=1.0)
+    for call in (lambda: kilbas_saigo_with_info(p, math.nan),
+                 lambda: mittag_leffler(0.5, 1.0, math.nan),
+                 lambda: kilbas_saigo_bounds(0.5, 2.0, math.nan)):
+        with pytest.raises(DomainError, match=r"\bz\b"):
+            call()
+    # infinite arguments keep their limits
+    assert kilbas_saigo_with_info(p, -math.inf) == (0.0, True)
+    b = kilbas_saigo_bounds(0.5, 2.0, math.inf)
+    assert b.lower == b.upper == 0.0
 
 
 def test_mittag_leffler_classical_values():
