@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath.libmp import to_fixed
-from scipy.special import gammaln, gammasgn, rgamma
 
 from .errors import DomainError, InadmissibleParams, NonConvergence
 
@@ -53,6 +52,32 @@ _LN10 = math.log(10.0)
 _SERIES_CUTOFF = 10.0 * (1.0 + 1e-12)
 # digits of cancellation tolerated in plain double precision
 _DOUBLE_DIGITS = 3.0
+
+
+def _lgamma(x):
+    """(log|G(x)|, sign of G(x)) from math.lgamma; (inf, 0.0) at the poles
+    x = 0, -1, -2, ..., and log|G(x)| = inf where it overflows, as
+    scipy.special.gammaln."""
+    if x <= 0.0 and x == math.floor(x):
+        return math.inf, 0.0
+    try:
+        lg = math.lgamma(x)
+    except OverflowError:
+        lg = math.inf
+    return lg, -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+
+
+def _rgamma(x):
+    """1/G(x) from math.gamma, as scipy.special.rgamma: 0.0 at the poles
+    and where G(x) overflows above x = 171.6, x itself where it overflows
+    near 0, and +-inf where 1/G(x) overflows (x < -171)."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    try:
+        g = math.gamma(x)
+    except OverflowError:  # 1/G(x) = x (1 + O(x)) for |x| < 1e-300
+        return x if abs(x) < 1.0 else 0.0
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 @dataclass(frozen=True)
@@ -120,7 +145,8 @@ def kilbas_saigo_bounds(alpha: float, m: float, z: float) -> BoundPair:
     if not z >= 0.0:  # also NaN
         raise DomainError(f"bounds are stated for z >= 0, got z = {z!r}")
     lower = 1.0 / (1.0 + math.gamma(1.0 - alpha) * z)
-    ratio = math.exp(gammaln(1.0 + (m - 1.0) * alpha) - gammaln(1.0 + m * alpha))
+    ratio = math.exp(math.lgamma(1.0 + (m - 1.0) * alpha)
+                     - math.lgamma(1.0 + m * alpha))
     upper = 1.0 / (1.0 + ratio * z)
     return BoundPair(lower=lower, upper=upper)
 
@@ -158,10 +184,11 @@ def _gamma_table(alpha, m, l, n):
                 f"alpha*({j}*m+l)+1 = {x:g} hits a Gamma pole"
             )
         y = alpha * (j * m + l + 1.0) + 1.0
-        lr = gammaln(x) - gammaln(y)
+        (lx, sx), (ly, sy) = _lgamma(x), _lgamma(y)
+        lr = lx - ly
         logc += lr
-        more_logcs.append(float(logc))
-        more_ratios.append(float(gammasgn(x) * gammasgn(y) * math.exp(lr)))
+        more_logcs.append(logc)
+        more_ratios.append(sx * sy * math.exp(lr))
     table = (logcs + tuple(more_logcs), ratios + tuple(more_ratios))
     _RATIO_CACHE[alpha, m, l] = table
     return table
@@ -351,8 +378,8 @@ def kilbas_saigo_with_info(params: KilbasSaigoParams, z: float,
     approximate=True marks values from the bound-anchored surrogate used
     for deep negative arguments of the decay family (alpha, m, m-1).
     """
-    if math.isnan(z):
-        raise DomainError("z is NaN")
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got z = {z!r}")
     if z == 0.0:
         return 1.0, False
     if z < 0.0 and params.is_decay_form:
@@ -379,15 +406,15 @@ def mittag_leffler(alpha: float, beta: float, z: float,
     """
     if not (alpha > 0 and beta > 0):
         raise DomainError("mittag_leffler requires alpha > 0 and beta > 0")
-    if math.isnan(z):
-        raise DomainError("z is NaN")
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got z = {z!r}")
     if z == 0.0:
         return 1.0 / math.gamma(beta)
     if alpha == beta == 1.0 and z < 0.0:
         # the tail below vanishes term by term at beta = 1
         return math.exp(z)
     if z < -10.0:
-        return -sum(z ** (-k) * rgamma(beta - alpha * k) for k in range(1, 6))
+        return -sum(z ** (-k) * _rgamma(beta - alpha * k) for k in range(1, 6))
     return (_series_value(alpha, 1.0, (beta - 1.0) / alpha, z, acc)
             / math.gamma(beta))
 

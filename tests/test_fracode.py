@@ -315,6 +315,22 @@ def _decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
+@pytest.mark.parametrize("n, b", [(20, 0.0), (12, 0.05 - 1.0),
+                                  (12, 0.5 - 1.0), (12, 0.99 - 1.0)])
+def test_gauss_rules_match_mpmath(n, b):
+    # _soe's two rules: 20-node Gauss-Legendre and 12-node Gauss-Jacobi
+    # with weight (1+x)^(a-1), against mpmath's at 30 digits
+    mp = mpmath.MPContext()
+    mp.dps = 30
+    X, W = mp.gauss_quadrature(n, "jacobi", 0, mp.mpf(b))
+    order = sorted(range(n), key=lambda i: X[i])
+    x, w = fracode._LEGENDRE if b == 0.0 else fracode._gauss_jacobi(n, 0.0, b)
+    assert np.all(np.diff(x) > 0)
+    for i, j in enumerate(order):
+        assert abs(x[i] - X[j]) <= 1e-14
+        assert abs(w[i] - W[j]) <= 5e-13 * W[j]
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(alpha=st.floats(0.05, 0.99), hi=_decades(-3, 4),
        ratio=_decades(0.1, 14), x=st.floats(0.0, 1.0))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import erfcx, gammaln, gammasgn
+from scipy.special import erfcx, gammaln, gammasgn, rgamma
 
 from fracdecay import specfun
 from fracdecay.errors import (DomainError, FracdecayError, InadmissibleParams,
@@ -181,10 +181,52 @@ def test_nan_argument_is_a_domain_error():
                  lambda: kilbas_saigo_bounds(0.5, 2.0, math.nan)):
         with pytest.raises(DomainError, match=r"\bz\b"):
             call()
-    # infinite arguments keep their limits
-    assert kilbas_saigo_with_info(p, -math.inf) == (0.0, True)
+    # the bounds keep their limit at an infinite argument
     b = kilbas_saigo_bounds(0.5, 2.0, math.inf)
     assert b.lower == b.upper == 0.0
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf])
+def test_infinite_argument_is_a_domain_error(z):
+    # no term budget sums the series at an infinite argument, and the
+    # surrogate and the algebraic tail are stated for finite ones
+    for params in (KilbasSaigoParams(0.5, 2.0, 1.0),
+                   KilbasSaigoParams(0.5, 2.0, 0.5)):
+        with pytest.raises(DomainError, match=r"\bz\b"):
+            kilbas_saigo_with_info(params, z)
+        with pytest.raises(DomainError, match=r"\bz\b"):
+            kilbas_saigo(params, z)
+    with pytest.raises(DomainError, match=r"\bz\b"):
+        mittag_leffler(0.5, 1.0, z)
+
+
+_NON_INTEGERS = [1e-300, 1e-8, 0.5, 1.0 + 1e-9, 2.5, 9.75, 100.3, 171.6,
+                 -1e-300, -1e-8, -0.5, -1.5, -2.25, -10.5, -100.3, -170.5,
+                 -171.5, -200.5]
+
+
+@pytest.mark.parametrize("x", _NON_INTEGERS)
+def test_gamma_helpers_match_scipy(x):
+    lg, sign = specfun._lgamma(x)
+    assert lg == pytest.approx(gammaln(x), rel=1e-14, abs=1e-14)
+    assert sign == gammasgn(x)
+    assert specfun._rgamma(x) == pytest.approx(rgamma(x), rel=1e-13)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, -2.0])
+def test_gamma_helpers_at_poles(x):
+    # log|G| is infinite and 1/G vanishes there, as in scipy.special; G has
+    # no sign at a pole
+    assert specfun._lgamma(x) == (math.inf, 0.0) and gammaln(x) == math.inf
+    assert specfun._rgamma(x) == rgamma(x) == 0.0
+
+
+@pytest.mark.parametrize("x", [171.7, 172.0, 200.5, 1e5, 1e308])
+def test_gamma_helpers_past_overflow(x):
+    # G(x) overflows past x = 171.6: 1/G is 0.0, and log|G| stays finite
+    # until lgamma itself overflows, as in scipy.special
+    assert specfun._rgamma(x) == rgamma(x) == 0.0
+    assert specfun._lgamma(x)[0] == pytest.approx(gammaln(x), rel=1e-14)
 
 
 def test_mittag_leffler_classical_values():
@@ -243,7 +285,7 @@ def _gamma_args(alpha, m, l, j):
 
 def _log_ratio(alpha, m, l, j):
     x, y = _gamma_args(alpha, m, l, j)
-    return gammaln(x) - gammaln(y)
+    return math.lgamma(x) - math.lgamma(y)
 
 
 def _sign_ratio(alpha, m, l, j):
