@@ -2,9 +2,9 @@
 coefficients: special functions, Caputo L1 solvers, spectral solutions,
 nonlinear finite-difference schemes and tail-profile verification."""
 
-# No module imports scipy at load time (scipy.linalg loads at the first
+# No module needs scipy at load time (scipy.linalg loads at the first
 # march), but benchmarks/worker.py reads scipy's version from sys.modules
-# after every pass; the bare package costs about 1 MB and 11 ms.
+# after every pass.
 import scipy  # noqa: F401
 
 from .decayfit import (DecayReport, FitModel, check_envelope,

@@ -36,28 +36,25 @@ _CHUNK = 1024
 _CUT = 40.0  # an exponential e^{-s x} is dropped where s x > 40
 
 
-def _gauss_jacobi(n, a, b):
+def _gauss_jacobi(n, b):
     """Nodes x and weights w of the n-point Gauss rule for the weight
-    (1-x)^a (1+x)^b on [-1, 1], a, b > -1, by Golub and Welsch (Math.
-    Comp. 23, 1969): x are the eigenvalues of the symmetric tridiagonal
-    matrix of the three-term recurrence of the Jacobi polynomials, w the
-    squared first components of its eigenvectors times the weight's
-    integral 2^(a+b+1) G(a+1) G(b+1)/G(a+b+2)."""
+    (1+x)^b on [-1, 1], b > -1, by Golub and Welsch (Math. Comp. 23, 1969):
+    x are the eigenvalues of the symmetric tridiagonal matrix of the
+    three-term recurrence of the Jacobi polynomials P^(0,b), w the squared
+    first components of its eigenvectors times the weight's integral
+    2^(b+1)/(b+1)."""
     k = np.arange(1.0, n)
-    s = 2.0 * k + a + b
-    diag = np.empty(n)  # the k = 0 entry is (b-a)/(a+b+2), also at a+b = 0
-    diag[0] = (b - a) / (a + b + 2.0)
-    diag[1:] = (b - a) * (b + a) / (s * (s + 2.0))
-    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b)
-                  / (s * s * (s + 1.0) * (s - 1.0)))
+    s = 2.0 * k + b
+    diag = np.empty(n)
+    diag[0] = b / (b + 2.0)  # b^2/(s(s+2)) at k = 0, also at b = 0
+    diag[1:] = b * b / (s * (s + 2.0))
+    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    mu = 2.0 ** (a + b + 1.0) * math.exp(
-        math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
-    return x, mu * v[0] ** 2
+    return x, 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
 
 
 # the 20-node Gauss-Legendre rule of every _soe panel
-_LEGENDRE = _gauss_jacobi(20, 0.0, 0.0)
+_LEGENDRE = _gauss_jacobi(20, 0.0)
 
 
 def _soe(alpha, lo, hi):
@@ -70,7 +67,7 @@ def _soe(alpha, lo, hi):
     Gauss-Legendre panels of width 3.4 in log tau up to 40/lo, past which
     e^{-tau x} <= e^{-40}.  About 200 nodes for hi/lo = 1e11.
     """
-    xi, wj = _gauss_jacobi(12, 0.0, alpha - 1.0)
+    xi, wj = _gauss_jacobi(12, alpha - 1.0)
     y, wg = _LEGENDRE
     panels = math.ceil(math.log(_CUT * hi / lo) / 3.4)
     u = 1.7 * (2.0 * np.arange(panels)[:, None] + 1.0 + y) - math.log(hi)

@@ -324,7 +324,7 @@ def test_gauss_rules_match_mpmath(n, b):
     mp.dps = 30
     X, W = mp.gauss_quadrature(n, "jacobi", 0, mp.mpf(b))
     order = sorted(range(n), key=lambda i: X[i])
-    x, w = fracode._LEGENDRE if b == 0.0 else fracode._gauss_jacobi(n, 0.0, b)
+    x, w = fracode._LEGENDRE if b == 0.0 else fracode._gauss_jacobi(n, b)
     assert np.all(np.diff(x) > 0)
     for i, j in enumerate(order):
         assert abs(x[i] - X[j]) <= 1e-14
