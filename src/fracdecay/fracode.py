@@ -8,12 +8,12 @@ slope of the piecewise-linear interpolant, giving at node t_n
 
 Weights are generated on demand (the full table is O(N^2)).  The L1
 history by blocks of steps, exact weights inside a block and a sum of
-exponentials for the blocks before it, exists once, as
-`CaputoL1Operator._history`: `march` steps with it in O(N) time per node,
-and the energy check takes its margins from it.  `apply` is the exact
-O(N^2) sum, the independent reference.  Solutions of the mode equation
-D^a u + lam t^b u = 0  carry a weak singularity at t = 0, which the graded
-mesh t_j = T (j/N)^r compensates.
+exponentials for the blocks before it, exists once, in
+`CaputoL1Operator.march`, which steps with it in O(N) time per node and
+hands each step its history, so a caller forms D^a u_n from it.  `apply`
+is the exact O(N^2) sum, the independent reference.  Solutions of the
+mode equation  D^a u + lam t^b u = 0  carry a weak singularity at t = 0,
+which the graded mesh t_j = T (j/N)^r compensates.
 """
 
 from __future__ import annotations
@@ -78,7 +78,9 @@ def _soe(alpha, lo, hi):
 
 
 def default_grading(alpha: float) -> float:
-    """Grading exponent (2-a)/a, capped at 4."""
+    """Grading exponent (2-a)/a, capped at 4, for alpha in (0, 1]."""
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha:g}")
     return min((2.0 - alpha) / alpha, 4.0)
 
 
@@ -127,8 +129,8 @@ class CaputoL1Operator:
             raise DomainError("L1 weights require alpha in (0,1]")
         self.grid = grid
         self.alpha = alpha
-        self._t = grid.nodes
-        self._h = np.diff(self._t)
+        self.nodes = grid.nodes  # t_0..t_N, for callers to share
+        self._h = np.diff(self.nodes)
         self._g2h = math.gamma(2.0 - alpha) * self._h
 
     def _weights(self, n0: int, start: int, out) -> np.ndarray:
@@ -140,7 +142,7 @@ class CaputoL1Operator:
             out[...] = 0.0
             np.fill_diagonal(out[:, n0 - start:], 1.0 / self._h[n0:n1])
             return out
-        p = self._t[n0 + 1:n1 + 1, None] - self._t[start:end + 1]
+        p = self.nodes[n0 + 1:n1 + 1, None] - self.nodes[start:end + 1]
         np.maximum(p, 0.0, out=p)
         p **= 1.0 - self.alpha  # 0 for k >= n; p is the one temporary
         np.subtract(p[:, :-1], p[:, 1:], out=out)
@@ -171,16 +173,18 @@ class CaputoL1Operator:
                 dgemm(1.0, dK.T, W.T, 1.0, out2[n0:n1].T, overwrite_c=1)
         return out
 
-    def _history(self, shape):
-        """The L1 history of samples of ``shape`` (() or (M,)) by blocks.
+    def march(self, u0, solve):
+        """Implicit L1 time stepping from u0, a scalar or an (M,) field.
 
-        Per block n0 < n <= n1 = n0 + m of B = _BLOCK steps, yields (n0, m,
-        W, far, dU): the exact in-block weights W[i, j] = a_{n0+1+i, n0+1+j}
-        (0 for k > n), far[i], node n0+1+i's history from before n0, and
-        dU, which the caller fills with the block's m increments before it
-        resumes the generator; the next block overwrites all three.
+        At each node t_n, n = 1..N, the scheme reads
+        a_nn (u_n - u_{n-1}) + hist = (rest of the equation at t_n) with the
+        explicit history hist = sum_{k<n} a_{n,k} (u_k - u_{k-1}), so
+        D^a u_n = hist + a_nn (u_n - u_{n-1}); ``solve(n, a_nn, hist,
+        u_{n-1})`` returns u_n.  Yields (n0, V) per block of B = _BLOCK
+        steps n0 < n <= n1, V = u_{n0..n1}, a view the next block overwrites.
 
-        The far part is a sum of exponentials,
+        Inside a block the history takes the exact weights; from before n0
+        it is a sum of exponentials,
             far_n = sum_j c_j e^{-s_j (t_n - t_n0)} Y_j,
             Y_j = sum_{k<=n0} e^{-s_j (t_n0 - t_k)} phi(s_j h_k) (u_k - u_{k-1}),
         with phi(z) = -expm1(-z)/z the exact mean of each exponential over
@@ -197,12 +201,14 @@ class CaputoL1Operator:
         # process's first march, not with the package: the spectral and
         # special-function paths never step, and its import costs them ~6 MB
         from scipy.linalg.blas import dgemm
+        u0 = np.asarray(u0, dtype=float)
         N = self.grid.steps
         B = min(_BLOCK, N)
-        dU = np.empty((B,) + shape)
+        U = np.full((B + 1,) + u0.shape, u0)
+        dU = np.empty((B,) + u0.shape)
         W = np.empty((B, B))  # row i: in-block weights of step n0 + 1 + i
-        far = np.zeros((B,) + shape)
-        t, h = self._t, self._h
+        far = np.zeros((B,) + u0.shape)
+        t, h = self.nodes, self._h
         J = 0  # nodes in use; none without a far part
         if N > B and self.alpha < 1.0:
             s, c = _soe(self.alpha, h[B], t[N])
@@ -219,7 +225,12 @@ class CaputoL1Operator:
                 np.multiply.outer(t[n0] - t[n0 + 1:n1 + 1], s[:J], out=Ej)
                 np.multiply(np.exp(Ej, out=Ej), c[:J], out=Ej)
                 np.matmul(Ej, Y[:J], out=far2[:m])
-            yield n0, m, W[:m, :m], far[:m], dU[:m]
+            for i, n in enumerate(range(n0 + 1, n1 + 1)):
+                hist = far[i] + W[i, :i].dot(dU[:i])
+                U[i + 1] = solve(n, W[i, i], hist, U[i])
+                dU[i] = U[i + 1] - U[i]
+            yield n0, U[:m + 1]
+            U[0] = U[m]
             if n1 < N and J:  # every block but the last is full
                 # far distances from here on are >= h_{n1+1}
                 J = min(J, int(np.searchsorted(s, _CUT / h[n1], "right")))
@@ -232,25 +243,6 @@ class CaputoL1Operator:
                 Y[:J] *= np.exp((t[n0] - t[n1]) * sj)[:, None]
                 # Y += G dU in place: BLAS writes the transposed view of Y
                 dgemm(1.0, dU2.T, Gj.T, 1.0, Y[:J].T, overwrite_c=1)
-
-    def march(self, u0, solve):
-        """Implicit L1 time stepping from u0, a scalar or an (M,) field.
-
-        At each node t_n, n = 1..N, the scheme reads
-        a_nn (u_n - u_{n-1}) + hist = (rest of the equation at t_n) with the
-        explicit history hist = sum_{k<n} a_{n,k} (u_k - u_{k-1}) from
-        `_history`; ``solve(n, a_nn, hist, u_{n-1})`` returns u_n.  Yields
-        (n0, V) per block, V = u_{n0..n1}, a view the next block overwrites.
-        """
-        u0 = np.asarray(u0, dtype=float)
-        U = np.full((min(_BLOCK, self.grid.steps) + 1,) + u0.shape, u0)
-        for n0, m, W, far, dU in self._history(u0.shape):
-            for i, n in enumerate(range(n0 + 1, n0 + m + 1)):
-                hist = far[i] + W[i, :i].dot(dU[:i])
-                U[i + 1] = solve(n, W[i, i], hist, U[i])
-                dU[i] = U[i + 1] - U[i]
-            yield n0, U[:m + 1]
-            U[0] = U[m]
 
 
 def _scalar_trace(grid, alpha, beta, u0, solve) -> ScalarTrace:

@@ -17,9 +17,9 @@ once, and a_nn u_{n-1} - hist once per step; each sweep only writes into
 these buffers, and a single sweep computes no residual.
 
 Energies are summed per block of nodes from `march`; only keep_fields=True
-keeps the N x M field history.  The energy check on it drives the
-history `march` steps with, `CaputoL1Operator._history`, block by block,
-and adds block-sized buffers, no second N x M array.
+keeps the N x M field history.  Each step also records h u_n . D^a u_n,
+with D^a u_n = hist + a_nn (u_n - u_{n-1}) from the history `march` hands
+it, so the energy check needs no fields and no second pass over them.
 """
 
 from __future__ import annotations
@@ -162,6 +162,8 @@ class FieldTrace:
 
     times: np.ndarray                 # (N+1,)
     energies: np.ndarray              # (N+1,)
+    inner: np.ndarray                 # (N,) h u_n . D^a u_n at t_1..t_N
+    alpha: float                      # the order a in inner
     grid: SpatialGrid1D
     tgrid: TimeGrid
     fields: Optional[np.ndarray] = None  # (N+1, M) when kept
@@ -195,10 +197,10 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
         raise DomainError(f"u0 must have shape ({M},)")
     h = grid.h
     h2 = h ** 2
-    t = tgrid.nodes
+    op = CaputoL1Operator(tgrid, alpha)
+    t = op.nodes
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = coeff.value(t)  # a(0) is inf for beta < 0; node 0 is never read
-    op = CaputoL1Operator(tgrid, alpha)
     porous_guard = spec.kind == "porous_medium" and (u0 >= 0.0).all()
     # One step system per solve, which each sweep writes into: the super-,
     # main and subdiagonal rows and the right-hand side.  The corners
@@ -209,7 +211,8 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
     base = np.empty(M)    # a_nn u_{n-1} - hist, once per step
     src = np.empty(M)     # source term at the current iterate
     cur = np.empty(M)     # the iterate the next sweep freezes at
-    work = np.empty(M)     # residual and scale
+    work = np.empty(M)     # residual and scale, then u_n - u_{n-1}
+    inner = np.empty(tgrid.steps)  # u_n . D^a u_n at t_1..t_N
 
     def solve(n, ann, hist, prev):
         an = float(a[n])
@@ -271,6 +274,9 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
             ustar = cur
         if porous_guard and float(unew.min()) < -1e-10:
             raise PositivityLoss(f"negative state at t = {t[n]:g}")
+        # u_n . D^a u_n with D^a u_n = hist + a_nn (u_n - u_{n-1})
+        np.subtract(unew, prev, out=work)
+        inner[n - 1] = hist.dot(unew) + ann * work.dot(unew)
         return unew
 
     U = np.empty((tgrid.steps + 1, M)) if keep_fields else None
@@ -284,7 +290,7 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
         energies = np.sqrt(h * ss)
     if not np.isfinite(energies).all():
         raise NonFiniteState("energy overflows on a finite field")
-    return FieldTrace(t, energies, grid, tgrid, fields=U)
+    return FieldTrace(t, energies, h * inner, alpha, grid, tgrid, fields=U)
 
 
 def check_energy_inequality(trace: FieldTrace, alpha: float) -> np.ndarray:
@@ -292,23 +298,23 @@ def check_energy_inequality(trace: FieldTrace, alpha: float) -> np.ndarray:
 
     Both sides take the weights `march` steps with; nonnegative margins (up
     to roundoff) certify the discrete energy inequality the decay estimates
-    rest on.  Per block of `CaputoL1Operator._history`, D = far + W dU is
-    D^a u at the block's nodes, and a second, scalar pass gives D^a E:
-    O(N J M) work with block-sized buffers, no N x M array.
+    rest on.  The right side is the solve's own `inner` column, so alpha
+    must be the order the trace was solved with; D^a E comes from a scalar
+    `march` over the energies, O(N J) work.
     """
-    if trace.fields is None:
-        raise DomainError("trace was run with keep_fields=False")
-    U, E, N = trace.fields, trace.energies, trace.tgrid.steps
-    if not len(U) == len(E) == N + 1:
-        raise GridMismatch(f"expected {N + 1} fields and energies, "
-                           f"got {len(U)} and {len(E)}")
-    op = CaputoL1Operator(trace.tgrid, alpha)
-    pair, dE = np.empty((2, N))  # u_n . D^a u_n and D^a E at t_1..t_N
-    for n0, m, W, far, dU in op._history(U.shape[1:]):
-        np.subtract(U[n0 + 1:n0 + m + 1], U[n0:n0 + m], out=dU)
-        pair[n0:n0 + m] = np.einsum("ij,ij->i", U[n0 + 1:n0 + m + 1],
-                                    far + W @ dU)
-    for n0, m, W, far, dEb in op._history(()):
-        np.subtract(E[n0 + 1:n0 + m + 1], E[n0:n0 + m], out=dEb)
-        dE[n0:n0 + m] = far + W @ dEb
-    return trace.grid.h * pair - E[1:] * dE
+    if alpha != trace.alpha:
+        raise DomainError(f"trace was solved at alpha = {trace.alpha:g}, "
+                          f"not {alpha:g}")
+    E, N = trace.energies, trace.tgrid.steps
+    if not len(E) == len(trace.inner) + 1 == N + 1:
+        raise GridMismatch(f"expected {N + 1} energies and {N} inner "
+                           f"products, got {len(E)} and {len(trace.inner)}")
+    dE = np.empty(N)  # D^a E at t_1..t_N
+
+    def solve(n, ann, hist, prev):
+        dE[n - 1] = hist + ann * (E[n] - prev)
+        return E[n]
+
+    for _ in CaputoL1Operator(trace.tgrid, alpha).march(E[0], solve):
+        pass
+    return trace.inner - E[1:] * dE

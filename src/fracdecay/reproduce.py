@@ -9,7 +9,6 @@ CSV, and returns structured rows for the report table.
 
 from __future__ import annotations
 
-import dataclasses
 import filecmp
 import functools
 import math
@@ -237,27 +236,19 @@ def _fd_run(spec, source, u0, points, steps, horizon, sweeps=2,
                                        two_sided=False)
 
 
-def _suite_run(kw, points, steps):
-    """One operator-suite run as (trace without fields, report, margins):
-    the margins are taken right after the solve, and the field history
-    is dropped on return."""
-    tr, rep = _fd_run(OperatorSpec(**kw), SourceSpec(),
-                      lambda g: 0.5 * np.sin(g.x), points, steps, 100.0)
-    margins = check_energy_inequality(tr, 0.5)
-    return dataclasses.replace(tr, fields=None), rep, margins
-
-
 def run_operator_suite(points=255, steps=2048):
     """Shared runs behind the exponent-conformance and energy checks, as
-    (name, trace, report, margins); one field history is alive at a time."""
-    return [(name, *_suite_run(kw, points, steps))
+    (name, trace, report); no run keeps its field history."""
+    return [(name, *_fd_run(OperatorSpec(**kw), SourceSpec(),
+                            lambda g: 0.5 * np.sin(g.x), points, steps, 100.0,
+                            keep_fields=False))
             for name, kw in _OPERATOR_CASES]
 
 
 def check_exponent_conformance(suite) -> CriterionResult:
     notes, ok = [], True
     art = {}
-    for name, tr, rep, _ in suite:
+    for name, tr, rep in suite:
         good = rep.verdict == "upper_only_ok" and \
             math.isfinite(rep.envelope_upper) and rep.envelope_upper > 0
         ok &= good
@@ -269,7 +260,8 @@ def check_exponent_conformance(suite) -> CriterionResult:
 
 
 def check_energy_inequality_suite(suite) -> CriterionResult:
-    worst = min(float(np.min(margins)) for *_, margins in suite)
+    worst = min(float(np.min(check_energy_inequality(tr, 0.5)))
+                for _, tr, _ in suite)
     return _res("discrete-energy-inequality", worst >= -1e-8,
                 f"min margin {worst:.3e} (tol -1e-8)")
 

@@ -340,6 +340,9 @@ def test_decay_fit_model_selection(tmp_path, capsys):
     ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "2",
      "--nu", "1", "--h0", "1", "--grading", "200"],
     ["nonlinear", "solve", "--grading", "inf"],
+    ["nonlinear", "solve", "--alpha", "0"],
+    ["ode", "solve", "--alpha", "0", "--beta", "0.5", "--delta", "2",
+     "--nu", "1", "--h0", "1"],
     # one mode has no mean-zero data and no positive Neumann eigenvalue
     ["subdiffusion", "solve", "--alpha", "0.5", "--modes", "1", "--u0",
      "mean_zero"],
@@ -352,6 +355,7 @@ def test_decay_fit_model_selection(tmp_path, capsys):
         "window-zero", "window-negative",
         "window-nan", "repeated-column", "grading-nan", "grading-inf",
         "grading-coinciding-nodes", "nonlinear-grading-inf",
+        "nonlinear-alpha-zero", "ode-alpha-zero",
         "mean-zero-one-mode", "heat-mean-zero-one-mode",
         "neumann-one-mode"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, argv):
@@ -363,6 +367,14 @@ def test_bad_input_is_config_error(tmp_path, monkeypatch, argv):
     write_csv_atomic("repeat.dat", ["t", "E", "E"], [t, 1.0 / t, 2.0 / t])
     assert run("--out", str(tmp_path), *argv) == 2
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_alpha_out_of_range_names_alpha(tmp_path, capsys):
+    # without --grading the grading is derived from alpha, which is checked
+    # first, so the message is about alpha, not the grading exponent
+    assert run("--out", str(tmp_path), "nonlinear", "solve",
+               "--alpha", "1.5") == 2
+    assert "alpha" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error, prefix, code", [

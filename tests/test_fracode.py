@@ -47,6 +47,10 @@ def test_grid_validation():
 def test_default_grading():
     assert default_grading(0.5) == pytest.approx(3.0)
     assert default_grading(0.2) == 4.0
+    assert default_grading(1.0) == 1.0
+    for alpha in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(DomainError, match="alpha"):
+            default_grading(alpha)
 
 
 def _row(op, n):
