@@ -6,14 +6,13 @@ slope of the piecewise-linear interpolant, giving at node t_n
     (D^a u)_n ~= sum_{k=1..n} a_{n,k} (u_k - u_{k-1}),
     a_{n,k} = [(t_n - t_{k-1})^{1-a} - (t_n - t_k)^{1-a}] / (G(2-a) h_k).
 
-Weights are generated on demand (the full table is O(N^2)).  The L1
-history by blocks of steps, exact weights inside a block and a sum of
-exponentials for the blocks before it, exists once, in
-`CaputoL1Operator.march`, which steps with it in O(N) time per node and
-hands each step its history, so a caller forms D^a u_n from it.  `apply`
-is the exact O(N^2) sum, the independent reference.  Solutions of the
-mode equation  D^a u + lam t^b u = 0  carry a weak singularity at t = 0,
-which the graded mesh t_j = T (j/N)^r compensates.
+The discrete derivative exists once, in `CaputoL1Operator.march`: by
+blocks of steps, exact weights inside a block and a sum of exponentials
+for the blocks before it, so no O(N^2) weight table is ever formed.  It
+steps in O(N) time per node and hands each step its history, so a caller
+forms D^a u_n from it.  Solutions of the mode equation
+D^a u + lam t^b u = 0  carry a weak singularity at t = 0, which the
+graded mesh t_j = T (j/N)^r compensates.
 """
 
 from __future__ import annotations
@@ -24,15 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, RootSolveFailure
+from .errors import DomainError, RootSolveFailure
 
 # steps per history block; with the SOE history, 32 was fastest on the
 # fd_stepping solves (best of 4: 0.77 s against 0.79-0.88 s for 16, 24, 48
 # and 64, one BLAS thread, 2-core Xeon)
 _BLOCK = 32
-# nodes per chunk of apply's exact sum; 1024 beat 512 and 256 on a 511 x 4096
-# exact-sum energy check (0.25 against 0.26, 0.27 s, one BLAS thread)
-_CHUNK = 1024
 _CUT = 40.0  # an exponential e^{-s x} is dropped where s x > 40
 
 
@@ -133,45 +129,20 @@ class CaputoL1Operator:
         self._h = np.diff(self.nodes)
         self._g2h = math.gamma(2.0 - alpha) * self._h
 
-    def _weights(self, n0: int, start: int, out) -> np.ndarray:
-        """Weights a_{n,k} of the rows n = n0+1..n1 over k = start+1..end,
-        written into ``out`` of shape (n1 - n0, end - start); 0 for k > n."""
-        n1, end = n0 + out.shape[0], start + out.shape[1]
+    def _weights(self, n0: int, out) -> np.ndarray:
+        """In-block weights a_{n,k}, n, k = n0+1..n0+m, written into ``out``
+        of shape (m, m); 0 for k > n."""
+        n1 = n0 + len(out)
         if self.alpha == 1.0:
             # (t_n - t_k)^(1-a) -> 1 for k < n but -> 0 for k = n
             out[...] = 0.0
-            np.fill_diagonal(out[:, n0 - start:], 1.0 / self._h[n0:n1])
+            np.fill_diagonal(out, 1.0 / self._h[n0:n1])
             return out
-        p = self.nodes[n0 + 1:n1 + 1, None] - self.nodes[start:end + 1]
+        p = self.nodes[n0 + 1:n1 + 1, None] - self.nodes[n0:n1 + 1]
         np.maximum(p, 0.0, out=p)
         p **= 1.0 - self.alpha  # 0 for k >= n; p is the one temporary
         np.subtract(p[:, :-1], p[:, 1:], out=out)
-        return np.divide(out, self._g2h[start:end], out=out)
-
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        """Discrete D^a of (N+1,) or (N+1, M) per-node samples at t_1..t_N:
-        the exact O(N^2) sum, by pairs of a block of _BLOCK increments and a
-        chunk of up to _CHUNK nodes.  The caller's array is not written to.
-        """
-        from scipy.linalg.blas import dgemm
-        samples = np.asarray(samples, dtype=float)
-        N = self.grid.steps
-        if samples.shape[0] != N + 1:
-            raise GridMismatch(f"expected {N + 1} samples, got {len(samples)}")
-        out = np.zeros((N,) + samples.shape[1:])
-        out2 = out.reshape(N, -1)  # a 2-D view, also of a 1-D result
-        B = min(_BLOCK, N)
-        w = np.empty(min(_CHUNK, N) * B)
-        for k0 in range(0, N, B):
-            k1 = min(k0 + B, N)
-            dK = np.diff(samples[k0:k1 + 1], axis=0).reshape(k1 - k0, -1)
-            for n0 in range(k0, N, _CHUNK):
-                n1 = min(n0 + _CHUNK, N)
-                W = w[:(n1 - n0) * (k1 - k0)].reshape(n1 - n0, k1 - k0)
-                self._weights(n0, k0, W)
-                # out += W dK in place: BLAS writes the transposed view of out
-                dgemm(1.0, dK.T, W.T, 1.0, out2[n0:n1].T, overwrite_c=1)
-        return out
+        return np.divide(out, self._g2h[n0:n1], out=out)
 
     def march(self, u0, solve):
         """Implicit L1 time stepping from u0, a scalar or an (M,) field.
@@ -219,7 +190,7 @@ class CaputoL1Operator:
         for n0 in range(0, N, B):
             n1 = min(n0 + B, N)
             m = n1 - n0
-            self._weights(n0, n0, W[:m, :m])
+            self._weights(n0, W[:m, :m])
             if n0 and J:  # E_ij = c_j e^{-s_j (t_n - t_n0)}
                 Ej = E[:m, :J]
                 np.multiply.outer(t[n0] - t[n0 + 1:n1 + 1], s[:J], out=Ej)
@@ -245,15 +216,14 @@ class CaputoL1Operator:
                 dgemm(1.0, dU2.T, Gj.T, 1.0, Y[:J].T, overwrite_c=1)
 
 
-def _scalar_trace(grid, alpha, beta, u0, solve) -> ScalarTrace:
+def _scalar_trace(op, beta, u0, solve) -> ScalarTrace:
     """Every node of the L1 march of a mode equation with factor t^beta."""
-    op = CaputoL1Operator(grid, alpha)
-    if beta <= -alpha:
+    if beta <= -op.alpha:
         raise DomainError("require beta > -alpha")
-    values = np.empty(grid.steps + 1)
+    values = np.empty(op.grid.steps + 1)
     for n0, V in op.march(u0, solve):
         values[n0:n0 + len(V)] = V
-    return ScalarTrace(times=grid.nodes, values=values)
+    return ScalarTrace(times=op.nodes, values=values)
 
 
 def solve_linear_mode(alpha: float, beta: float, lam: float, u0: float,
@@ -266,12 +236,13 @@ def solve_linear_mode(alpha: float, beta: float, lam: float, u0: float,
     """
     if lam < 0:
         raise DomainError("lam must be nonnegative")
-    t = grid.nodes
+    op = CaputoL1Operator(grid, alpha)
+    t = op.nodes
 
     def solve(n, ann, hist, prev):
         return (ann * prev - hist) / (ann + lam * t[n] ** beta)
 
-    return _scalar_trace(grid, alpha, beta, u0, solve)
+    return _scalar_trace(op, beta, u0, solve)
 
 
 @dataclass(frozen=True)
@@ -325,7 +296,8 @@ def solve_semilinear(params: SemilinearParams, alpha: float,
     """Implicit L1 steps, each the root of  w + c w^delta = rhs  (c > 0) on
     [0, rhs] to about an ulp; it exists while rhs stays positive.  At
     alpha = 1 the L1 weights reduce to backward Euler."""
-    t = grid.nodes
+    op = CaputoL1Operator(grid, alpha)
+    t = op.nodes
     nu, delta, beta = params.nu, params.delta, params.beta
 
     def solve(n, ann, hist, prev):
@@ -335,7 +307,7 @@ def solve_semilinear(params: SemilinearParams, alpha: float,
                                    "refine the mesh near t = 0")
         return _step_root(float(nu * t[n] ** beta / ann), delta, rhs)
 
-    return _scalar_trace(grid, alpha, beta, params.H0, solve)
+    return _scalar_trace(op, beta, params.H0, solve)
 
 
 def lemma_envelope(params: SemilinearParams, alpha: float):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracdecay import fracode
-from fracdecay.errors import DomainError, GridMismatch
+from fracdecay.errors import DomainError
 from fracdecay.fracode import (CaputoL1Operator, SemilinearParams, TimeGrid,
                                default_grading, lemma_envelope,
                                solve_linear_mode, solve_semilinear)
@@ -53,16 +54,22 @@ def test_default_grading():
             default_grading(alpha)
 
 
-def _row(op, n):
-    """Weights a_{n,1..n} at node t_n."""
-    return op._weights(n - 1, 0, np.empty((1, n)))[0]
+B = fracode._BLOCK
+
+
+def _squares(op):
+    """(n0, W) for every in-block square W of the weights march forms."""
+    N = op.grid.steps
+    for n0 in range(0, N, B):
+        m = min(B, N - n0)
+        yield n0, op._weights(n0, np.empty((m, m)))
 
 
 def test_weights_positive_and_increasing():
     op = CaputoL1Operator(TimeGrid(5.0, 32, 2.0), 0.4)
+    _, W = next(_squares(op))
     for n in (1, 7, 32):
-        row = _row(op, n)
-        assert row.shape == (n,)
+        row = W[n - 1, :n]
         assert np.all(row > 0)
         assert np.all(np.diff(row) >= 0)  # key to the energy inequality
 
@@ -75,27 +82,45 @@ def test_weights_row_is_the_two_power_formula(alpha, horizon, steps, grading):
     op = CaputoL1Operator(grid, alpha)
     t, h = grid.nodes, np.diff(grid.nodes)
     e, g2 = 1.0 - alpha, math.gamma(2.0 - alpha)
-    for n in range(1, steps + 1):
-        d = t[n] - t[:n + 1]
-        d[-1] = 0.0
-        expected = (d[:-1] ** e - d[1:] ** e) / (g2 * h[:n])
-        assert np.array_equal(_row(op, n), expected)
+    for n0, W in _squares(op):
+        expected = np.zeros_like(W)
+        for i, n in enumerate(range(n0 + 1, n0 + len(W) + 1)):
+            d = t[n] - t[n0:n + 1]
+            d[-1] = 0.0
+            expected[i, :i + 1] = (d[:-1] ** e - d[1:] ** e) / (g2 * h[n0:n])
+        assert np.array_equal(W, expected)
+
+
+def _march_derivative(op, samples):
+    """D^a of the samples at t_1..t_N as march forms it: each replayed
+    step records hist + a_nn (s_n - s_{n-1}) and returns s_n."""
+    samples = np.asarray(samples, dtype=float)
+    out = np.empty((op.grid.steps,) + samples.shape[1:])
+
+    def solve(n, ann, hist, prev):
+        out[n - 1] = hist + ann * (samples[n] - prev)
+        return samples[n]
+
+    for _ in op.march(samples[0], solve):
+        pass
+    return out
 
 
 def test_derivative_of_constant_is_zero():
     grid = TimeGrid(2.0, 40, 2.0)
     op = CaputoL1Operator(grid, 0.6)
-    out = op.apply(np.ones(41))
+    out = _march_derivative(op, np.ones(41))
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_exact_on_linear_samples():
-    # D^a t = t^(1-a)/Gamma(2-a); the L1 interpolant is exact here
+    # D^a t = t^(1-a)/Gamma(2-a); the L1 interpolant is exact here, and
+    # past the first block the far history is a sum of exponentials
     alpha = 0.35
     grid = TimeGrid(3.0, 50, 2.0)
     op = CaputoL1Operator(grid, alpha)
     t = grid.nodes
-    out = op.apply(t.copy())
+    out = _march_derivative(op, t)
     exact = t[1:] ** (1.0 - alpha) / math.gamma(2.0 - alpha)
     assert np.max(np.abs(out - exact) / exact) < 1e-12
 
@@ -109,29 +134,10 @@ def test_convergence_order_on_quadratic():
         grid = TimeGrid(1.0, N, 1.0)
         op = CaputoL1Operator(grid, alpha)
         t = grid.nodes
-        out = op.apply(t ** 2)
+        out = _march_derivative(op, t ** 2)
         exact = 2.0 * t[1:] ** (2.0 - alpha) / math.gamma(3.0 - alpha)
         errs.append(np.max(np.abs(out - exact)))
     assert errs[0] / errs[1] >= 2.0 ** 1.4
-
-
-def test_apply_shape_checks():
-    op = CaputoL1Operator(TimeGrid(1.0, 8), 0.5)
-    with pytest.raises(GridMismatch):
-        op.apply(np.ones(7))
-
-
-B = fracode._BLOCK
-
-
-def test_apply_leaves_the_samples_untouched():
-    # apply sums into an array of its own, never into the caller's samples
-    op = CaputoL1Operator(TimeGrid(5.0, 3 * B + 7, 2.0), 0.4)
-    field = np.random.default_rng(7).standard_normal((op.grid.steps + 1, 5))
-    before = field.copy()
-    out = op.apply(field)
-    assert out.shape == (op.grid.steps, 5)
-    assert field.tobytes() == before.tobytes()
 
 
 def _march_nodes(op, u0, solve):
@@ -149,54 +155,46 @@ def _march_nodes(op, u0, solve):
     return U
 
 
+def _exact_row(op, n):
+    """Weights a_{n,1..n} formed without cancellation: with d = t_n - t_k,
+    a_{n,k} G(2-a) h_k = d^(1-a) expm1((1-a) log1p(h_k/d)) for k < n and
+    h_n^(1-a) for k = n."""
+    e, t = 1.0 - op.alpha, op.nodes
+    d, h = t[n] - t[1:n], np.diff(t[:n + 1])
+    num = np.append(d ** e * np.expm1(e * np.log1p(h[:-1] / d)), h[-1] ** e)
+    return num / (math.gamma(2.0 - op.alpha) * h)
+
+
 def _per_row_march(op, u0, solve):
-    """Step-by-step history from per-row weights formed without
-    cancellation: with d = t_n - t_k, a_{n,k} G(2-a) h_k =
-    d^(1-a) expm1((1-a) log1p(h_k/d)) for k < n and h_n^(1-a) for k = n."""
+    """Step-by-step history from the per-row weights of _exact_row."""
     u0 = np.asarray(u0, dtype=float)
-    N, e = op.grid.steps, 1.0 - op.alpha
-    t = op.grid.nodes
-    h = np.diff(t)
-    g2 = math.gamma(2.0 - op.alpha)
+    N = op.grid.steps
     U = np.empty((N + 1,) + u0.shape)
     U[0] = u0
     dU = np.empty((N,) + u0.shape)
     for n in range(1, N + 1):
-        d, hk = t[n] - t[1:n], h[:n - 1]
-        row = d ** e * np.expm1(e * np.log1p(hk / d)) / (g2 * hk)
-        ann = h[n - 1] ** e / (g2 * h[n - 1])
-        U[n] = solve(n, ann, row @ dU[:n - 1], U[n - 1])
+        row = _exact_row(op, n)
+        U[n] = solve(n, row[-1], row[:-1] @ dU[:n - 1], U[n - 1])
         dU[n - 1] = U[n] - U[n - 1]
     return U
 
 
-def _per_row_apply(op, samples):
-    """D^a of samples one row at a time, with the magnitude of each sum."""
-    du = np.diff(samples, axis=0)
-    rows = [_row(op, n) for n in range(1, len(du) + 1)]
-    return (np.array([w @ du[:len(w)] for w in rows]),
-            np.array([np.abs(w) @ np.abs(du[:len(w)]) for w in rows]))
-
-
 @settings(max_examples=60, deadline=None, database=None)
 @given(alpha=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
-       steps=st.sampled_from([1, B - 1, B, B + 1, 3 * B + 5,
-                              fracode._CHUNK + 44]),
+       steps=st.sampled_from([1, B - 1, B, B + 1, 3 * B + 5, 1068]),
        width=st.sampled_from([None, 1, 5]), grading=st.floats(1.0, 4.0),
        seed=st.integers(0, 2 ** 32 - 1))
 # the largest alpha below 1: the far-history kernel's sin(pi a) kept digits
 # only once taken at pi (1 - a)
 @example(alpha=0.9999999999999999, steps=101, width=None, grading=1.0,
          seed=280)
-@example(alpha=0.05, steps=fracode._CHUNK + 44, width=5, grading=4.0,
+@example(alpha=0.05, steps=1068, width=5, grading=4.0,
          seed=1)
 def test_blocked_history_matches_per_row_sums(alpha, steps, width, grading,
                                               seed):
     # march takes the far history as a sum of exponentials: it stays
     # within 1e-10 of a march whose weights lose no digits to cancellation
-    # (the two-power weights lose up to 4e-9 here); apply sums the exact
-    # history by increment blocks and node chunks, past one chunk at the
-    # largest step count, and agrees with the per-row sums to roundoff
+    # (the two-power weights lose up to 4e-9 here)
     op = CaputoL1Operator(TimeGrid(10.0, steps, grading), alpha)
     rng = np.random.default_rng(seed)
     shape = () if width is None else (width,)
@@ -210,12 +208,6 @@ def test_blocked_history_matches_per_row_sums(alpha, steps, width, grading,
     U = _march_nodes(op, u0, solve)
     assert U.shape == ref.shape
     assert np.all(np.abs(U - ref) <= 1e-10 * np.abs(ref))
-
-    samples = rng.standard_normal((steps + 1,) + shape)
-    ref, mag = _per_row_apply(op, samples)
-    out = op.apply(samples)
-    assert out.shape == ref.shape
-    assert np.all(np.abs(out - ref) <= 1e-12 * mag)
 
 
 def test_march_matches_a_40_digit_march():
@@ -241,6 +233,25 @@ def test_march_matches_a_40_digit_march():
     assert np.all(np.abs(U - ref) <= 1e-10 * ref)
 
 
+def test_march_derivative_matches_exact_sums_on_a_long_graded_mesh():
+    # alpha = 0.3, r = 4, T = 1e6: the first steps are ~1e-6 of t_30, so
+    # two-power weights taken across the whole row lose up to 5e-2; march
+    # takes them only inside a block, where they lose up to 3.4e-11 (rows
+    # n <= 32), and a sum of exponentials past it
+    grid = TimeGrid(1e6, 8192, 4.0)
+    tr = solve_linear_mode(0.3, -0.2, 1.0, 1.0, grid)
+    op = CaputoL1Operator(grid, 0.3)
+    out = _march_derivative(op, tr.values)
+    du = np.diff(tr.values)
+    err = np.empty(len(du))
+    for n in range(1, len(du) + 1):
+        row = _exact_row(op, n)
+        err[n - 1] = abs(out[n - 1] - row @ du[:n]) / (np.abs(row)
+                                                       @ np.abs(du[:n]))
+    assert np.max(err[:B]) <= 1e-10
+    assert np.max(err[B:]) <= 1e-13
+
+
 def test_linear_mode_zero_rate_is_constant():
     tr = solve_linear_mode(0.5, 0.5, 0.0, 3.0, TimeGrid(10.0, 64, 3.0))
     assert np.max(np.abs(tr.values - 3.0)) < 1e-14
@@ -253,6 +264,23 @@ def test_linear_mode_alpha_one_matches_exponential():
     tr = solve_linear_mode(1.0, beta, 1.0, 1.0, grid)
     exact = np.exp(-grid.nodes ** (1.0 + beta) / (1.0 + beta))
     assert np.max(np.abs(tr.values - exact)) < 2e-3
+
+
+def test_scalar_solvers_share_the_node_array():
+    # the operator's nodes serve the step callback and the trace's times:
+    # 5.06 node-length arrays at the peak, 8.01 with three more node arrays
+    grid = TimeGrid(10.0, 32768, 3.0)
+    params = SemilinearParams(nu=1.0, delta=1.0, beta=0.5, H0=1.0)
+    for solve, args in ((solve_linear_mode, (0.5, 0.5, 1.0, 1.0, grid)),
+                        (solve_semilinear, (params, 0.5, grid))):
+        tracemalloc.start()
+        try:
+            tr = solve(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(tr.times, grid.nodes)
+        assert peak <= 5.5 * grid.nodes.nbytes
 
 
 def test_linear_mode_positive_decreasing():
@@ -294,10 +322,10 @@ def test_semilinear_delta_one_is_linear_mode(alpha, beta, nu):
     # at alpha = 1 the L1 weights are those of backward Euler
     op = CaputoL1Operator(grid, 1.0)
     h = np.diff(grid.nodes)
-    for n in (1, 2, 512):
-        expected = np.zeros(n)
-        expected[-1] = 1.0 / h[n - 1]
-        assert np.array_equal(_row(op, n), expected)
+    for n0, W in _squares(op):
+        assert np.array_equal(W, np.diag(1.0 / h[n0:n0 + len(W)]))
+    u = lin.values
+    assert np.array_equal(_march_derivative(op, u), 1.0 / h * np.diff(u))
 
 
 _MP = mpmath.MPContext()
