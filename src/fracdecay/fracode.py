@@ -3,16 +3,17 @@
 The L1 scheme replaces the derivative inside the Caputo convolution by the
 slope of the piecewise-linear interpolant, giving at node t_n
 
-    (D^a u)_n ~= sum_{k=1..n} a_{n,k} (u_k - u_{k-1}),
-    a_{n,k} = [(t_n - t_{k-1})^{1-a} - (t_n - t_k)^{1-a}] / (G(2-a) h_k).
+    (D^a u)_n ~= sum_{k=1..n} a_{n,k} (u_k - u_{k-1}),  d = t_n - t_k,
+    a_{n,k} G(2-a) h_k = d^{1-a} expm1((1-a) log1p(h_k/d))  for k < n,
 
-The discrete derivative exists once, in `CaputoL1Operator.march`: by
-blocks of steps, exact weights inside a block and a sum of exponentials
-for the blocks before it, so no O(N^2) weight table is ever formed.  It
-steps in O(N) time per node and hands each step its history, so a caller
-forms D^a u_n from it.  Solutions of the mode equation
-D^a u + lam t^b u = 0  carry a weak singularity at t = 0, which the
-graded mesh t_j = T (j/N)^r compensates.
+the difference (d + h_k)^{1-a} - d^{1-a} without its cancellation where
+h_k << d, and h_n^{1-a} for k = n: backward Euler at a = 1.  The discrete
+derivative exists once, in `CaputoL1Operator.march`: by blocks of steps,
+exact weights inside a block and a sum of exponentials for the blocks before
+it, so no O(N^2) weight table is ever formed.  It steps in O(N) time per
+node and hands each step its history, so a caller forms D^a u_n from it.
+Solutions of the mode equation D^a u + lam t^b u = 0 carry a weak
+singularity at t = 0, which the graded mesh t_j = T (j/N)^r compensates.
 """
 
 from __future__ import annotations
@@ -128,21 +129,20 @@ class CaputoL1Operator:
         self.nodes = grid.nodes  # t_0..t_N, for callers to share
         self._h = np.diff(self.nodes)
         self._g2h = math.gamma(2.0 - alpha) * self._h
+        # strict lower triangle of a full block; m rows take m(m-1)/2 entries
+        self._lower = np.tril_indices(min(_BLOCK, grid.steps), -1)
 
     def _weights(self, n0: int, out) -> np.ndarray:
-        """In-block weights a_{n,k}, n, k = n0+1..n0+m, written into ``out``
-        of shape (m, m); 0 for k > n."""
-        n1 = n0 + len(out)
-        if self.alpha == 1.0:
-            # (t_n - t_k)^(1-a) -> 1 for k < n but -> 0 for k = n
-            out[...] = 0.0
-            np.fill_diagonal(out, 1.0 / self._h[n0:n1])
-            return out
-        p = self.nodes[n0 + 1:n1 + 1, None] - self.nodes[n0:n1 + 1]
-        np.maximum(p, 0.0, out=p)
-        p **= 1.0 - self.alpha  # 0 for k >= n; p is the one temporary
-        np.subtract(p[:, :-1], p[:, 1:], out=out)
-        return np.divide(out, self._g2h[n0:n1], out=out)
+        """In-block weights a_{n,k}, n, k = n0+1..n0+m, in their log form,
+        written into ``out`` of shape (m, m); 0 for k > n."""
+        m, e = len(out), 1.0 - self.alpha
+        i, k = (x[:m * (m - 1) // 2] for x in self._lower)
+        t, h, g2h = self.nodes[n0 + 1:], self._h[n0:], self._g2h[n0:n0 + m]
+        d = t[i] - t[k]
+        out.fill(0.0)
+        out[i, k] = d ** e * np.expm1(e * np.log1p(h[k] / d)) / g2h[k]
+        np.fill_diagonal(out, h[:m] ** e / g2h)
+        return out
 
     def march(self, u0, solve):
         """Implicit L1 time stepping from u0, a scalar or an (M,) field.
@@ -154,8 +154,8 @@ class CaputoL1Operator:
         u_{n-1})`` returns u_n.  Yields (n0, V) per block of B = _BLOCK
         steps n0 < n <= n1, V = u_{n0..n1}, a view the next block overwrites.
 
-        Inside a block the history takes the exact weights; from before n0
-        it is a sum of exponentials,
+        Inside a block the history takes the log-form weights, exact to
+        rounding in every block; from before n0 a sum of exponentials,
             far_n = sum_j c_j e^{-s_j (t_n - t_n0)} Y_j,
             Y_j = sum_{k<=n0} e^{-s_j (t_n0 - t_k)} phi(s_j h_k) (u_k - u_{k-1}),
         with phi(z) = -expm1(-z)/z the exact mean of each exponential over
@@ -165,8 +165,8 @@ class CaputoL1Operator:
         Y is updated once per block, and a node drops out for good once
         e^{-s_j h_{n0+1}} < e^{-_CUT}: O(N J M) work and O((B + J) M)
         memory, J <= ~250, against O(N^2 M) and O(N M) for the exact sum.
-        The first block (N <= B is exact, bit for bit) and alpha = 1, whose
-        far weights vanish, have no far part.
+        The first block (so all of N <= B) and alpha = 1, whose far weights
+        vanish, have no far part.
         """
         # scipy.linalg (dgemm here, gtsv in the nonlinear step) loads at a
         # process's first march, not with the package: the spectral and
@@ -218,8 +218,8 @@ class CaputoL1Operator:
 
 def _scalar_trace(op, beta, u0, solve) -> ScalarTrace:
     """Every node of the L1 march of a mode equation with factor t^beta."""
-    if beta <= -op.alpha:
-        raise DomainError("require beta > -alpha")
+    if not -op.alpha < beta < math.inf:
+        raise DomainError("require a finite beta > -alpha")
     values = np.empty(op.grid.steps + 1)
     for n0, V in op.march(u0, solve):
         values[n0:n0 + len(V)] = V
@@ -234,8 +234,8 @@ def solve_linear_mode(alpha: float, beta: float, lam: float, u0: float,
     negative b never touches t = 0.  At alpha = 1 the L1 weights reduce
     to backward Euler.
     """
-    if lam < 0:
-        raise DomainError("lam must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError("lam must be nonnegative and finite")
     op = CaputoL1Operator(grid, alpha)
     t = op.nodes
 
@@ -255,8 +255,8 @@ class SemilinearParams:
     H0: float
 
     def __post_init__(self):
-        if self.nu <= 0 or self.delta <= 0 or self.H0 <= 0:
-            raise DomainError("nu, delta, H0 must all be positive")
+        if not all(0.0 < x < math.inf for x in (self.nu, self.delta, self.H0)):
+            raise DomainError("nu, delta, H0 must all be positive and finite")
 
 
 def _step_root(c, delta, rhs):
@@ -319,8 +319,8 @@ def lemma_envelope(params: SemilinearParams, alpha: float):
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("envelopes require alpha in (0,1)")
-    if params.beta <= -alpha:
-        raise DomainError("require beta > -alpha")
+    if not -alpha < params.beta < math.inf:
+        raise DomainError("require a finite beta > -alpha")
     nu, delta, beta, H0 = params.nu, params.delta, params.beta, params.H0
     ab = alpha + beta
     g1 = math.gamma(1.0 - alpha)

@@ -44,8 +44,8 @@ class SpatialGrid1D:
     interior: int
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise DomainError("length must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise DomainError("length must be positive and finite")
         if self.interior < 3:
             raise DomainError("need at least 3 interior points")
 
@@ -82,14 +82,16 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in OPERATORS:
             raise DomainError(f"unknown operator kind {self.kind!r}")
-        if self.kind in ("p_laplace", "kirchhoff") and self.p <= 1:
-            raise DomainError("p-Laplace requires p > 1")
-        if self.kind == "porous_medium" and (self.m < 0 or self.c0 <= 0):
-            raise DomainError("porous medium requires m >= 0, c0 > 0")
-        if self.kind == "degenerate" and self.q < 0:
-            raise DomainError("degenerate operator requires q >= 0")
-        if self.kind == "kirchhoff" and self.gamma < 0:
-            raise DomainError("Kirchhoff requires gamma >= 0")
+        if self.kind in ("p_laplace", "kirchhoff") and not (
+                1 < self.p < math.inf):
+            raise DomainError("p-Laplace requires a finite p > 1")
+        if self.kind == "porous_medium" and not (0 <= self.m < math.inf
+                                                 and 0 < self.c0 < math.inf):
+            raise DomainError("porous medium requires finite m >= 0, c0 > 0")
+        if self.kind == "degenerate" and not 0 <= self.q < math.inf:
+            raise DomainError("degenerate operator requires a finite q >= 0")
+        if self.kind == "kirchhoff" and not 0 <= self.gamma < math.inf:
+            raise DomainError("Kirchhoff requires a finite gamma >= 0")
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,10 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in SOURCES:
             raise DomainError(f"unknown source kind {self.kind!r}")
-        if self.kind == "power_absorption" and self.p <= 1:
-            raise DomainError("absorption exponent must satisfy p > 1")
+        if not math.isfinite(self.mu):
+            raise DomainError("source rate mu must be finite")
+        if self.kind == "power_absorption" and not 1 < self.p < math.inf:
+            raise DomainError("absorption exponent must satisfy 1 < p < inf")
 
 
 def predict_exponent(spec: OperatorSpec, alpha: float, beta: float) -> float:

@@ -74,8 +74,8 @@ def _mode_1d(L, bc, k, x):
 
 
 def interval_eigensystem(L: float, bc: str = "dirichlet", K: int = 64) -> EigenSystem:
-    if L <= 0 or K < 1:
-        raise DomainError("need L > 0 and K >= 1")
+    if not 0.0 < L < math.inf or K < 1:
+        raise DomainError("need a finite L > 0 and K >= 1")
     start = _first_mode(bc)
     ks = np.arange(start, start + K)
     lam = (ks * math.pi / L) ** 2
@@ -87,8 +87,8 @@ def interval_eigensystem(L: float, bc: str = "dirichlet", K: int = 64) -> EigenS
 
 def rectangle_eigensystem(Lx: float, Ly: float, bc: str = "dirichlet",
                           K: int = 64) -> EigenSystem:
-    if Lx <= 0 or Ly <= 0 or K < 1:
-        raise DomainError("need positive side lengths and K >= 1")
+    if not (0.0 < Lx < math.inf and 0.0 < Ly < math.inf) or K < 1:
+        raise DomainError("need finite positive side lengths and K >= 1")
     start = _first_mode(bc)
     kmax = int(math.ceil(math.sqrt(2.0 * K))) + 2
     pairs = [(i, j) for i in range(start, kmax + 1) for j in range(start, kmax + 1)]
@@ -169,8 +169,8 @@ def solve_subdiffusion(sys: EigenSystem, alpha: float, beta: float,
     """Closed-form modal evolution of  D^a u = a(t) Lap u  with a(t) = t^b."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
-    if beta <= -alpha:
-        raise DomainError("require beta > -alpha")
+    if not -alpha < beta < math.inf:
+        raise DomainError("require a finite beta > -alpha")
     times = np.asarray(times, dtype=float)
     u0k = np.asarray(u0k, dtype=float)
     coeffs = np.empty((sys.K, len(times)))
@@ -202,6 +202,11 @@ class CoefficientSpec:
     poly: tuple = (1.0,)
     table_t: tuple = ()
     table_a: tuple = ()
+
+    def __post_init__(self):
+        for name in ("kappa", "beta", "p", "q", "poly", "table_t", "table_a"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DomainError(f"coefficient {name} must be finite")
 
     def value(self, t):
         """a(t); only the power kind, which the stepping solvers use."""

@@ -349,6 +349,35 @@ def test_decay_fit_model_selection(tmp_path, capsys):
     ["heat", "solve", "--modes", "1", "--u0", "mean_zero"],
     ["subdiffusion", "solve", "--alpha", "0.5", "--modes", "1", "--bc",
      "neumann", "--u0", "constant"],
+    # a non-finite parameter is a usage error, not a numeric failure, a
+    # warning, a NaN CSV or an error about another input
+    ["nonlinear", "solve", "--operator", "p_laplace", "--p", "nan"],
+    ["nonlinear", "solve", "--operator", "porous_medium", "--m", "nan"],
+    ["nonlinear", "solve", "--operator", "kirchhoff", "--gamma", "nan"],
+    ["nonlinear", "solve", "--operator", "degenerate", "--q", "nan"],
+    ["nonlinear", "solve", "--source", "power_absorption", "--mu", "nan"],
+    ["nonlinear", "solve", "--source", "power_absorption", "--mu", "inf"],
+    ["nonlinear", "solve", "--L", "nan"],
+    ["nonlinear", "solve", "--L", "inf"],
+    ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "nan",
+     "--nu", "1", "--h0", "1"],
+    ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "2",
+     "--nu", "inf", "--h0", "1"],
+    ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "2",
+     "--nu", "nan", "--h0", "1"],
+    ["ode", "solve", "--alpha", "0.5", "--beta", "0.5", "--delta", "2",
+     "--nu", "1", "--h0", "inf"],
+    ["ode", "solve", "--alpha", "0.5", "--beta", "nan", "--delta", "2",
+     "--nu", "1", "--h0", "1"],
+    ["ode", "solve", "--alpha", "0.5", "--beta", "inf", "--delta", "2",
+     "--nu", "1", "--h0", "1"],
+    ["subdiffusion", "solve", "--alpha", "0.5", "--geometry", "interval:inf"],
+    ["subdiffusion", "solve", "--alpha", "0.5", "--geometry", "interval:nan"],
+    ["heat", "solve", "--geometry", "interval:nan"],
+    ["heat", "solve", "--geometry", "rectangle:1,nan"],
+    ["heat", "solve", "--kappa", "nan"],
+    ["heat", "solve", "--beta", "nan"],
+    ["heat", "solve", "--coeff-kind", "polynomial", "--poly", "1,inf"],
 ], ids=["bad-geometry", "bad-poly", "zero-poly-constant", "poly-sign-change",
         "missing-input", "undecodable-input", "sweep-T-inf", "T-nan",
         "l-inf", "m-inf", "l-nan", "z-nan", "z-inf", "z-minus-inf",
@@ -357,7 +386,11 @@ def test_decay_fit_model_selection(tmp_path, capsys):
         "grading-coinciding-nodes", "nonlinear-grading-inf",
         "nonlinear-alpha-zero", "ode-alpha-zero",
         "mean-zero-one-mode", "heat-mean-zero-one-mode",
-        "neumann-one-mode"])
+        "neumann-one-mode", "p-nan", "m-nan", "gamma-nan", "q-nan",
+        "mu-nan", "mu-inf", "L-nan", "L-inf", "delta-nan", "nu-inf",
+        "nu-nan", "h0-inf", "ode-beta-nan", "ode-beta-inf",
+        "interval-inf", "interval-nan", "heat-interval-nan",
+        "heat-rectangle-nan", "kappa-nan", "heat-beta-nan", "poly-inf"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inf.ini").write_text("[scan]\nT = inf\npoints = 15\n")
@@ -375,6 +408,16 @@ def test_alpha_out_of_range_names_alpha(tmp_path, capsys):
     assert run("--out", str(tmp_path), "nonlinear", "solve",
                "--alpha", "1.5") == 2
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--geometry", "interval:nan", "finite L"), ("--beta", "nan", "beta")])
+def test_nan_parameter_names_itself(tmp_path, capsys, flag, value, name):
+    # a NaN length used to reach the Kilbas-Saigo argument, and the
+    # message named z; a NaN beta, its indices m and l
+    assert run("--out", str(tmp_path), "subdiffusion", "solve", "--alpha",
+               "0.5", flag, value) == 2
+    assert name in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error, prefix, code", [

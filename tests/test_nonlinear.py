@@ -37,9 +37,10 @@ def _operator_rows(spec, u, g):
 def test_coefficient_hypothesis_enforced(kappa, beta, key):
     # a(t) >= kappa t^beta needs kappa > 0 and beta > -alpha; the error
     # names the field that fails and only that one
+    # (a NaN kappa is refused where the coefficient is built)
     g = SpatialGrid1D(math.pi, 7)
-    coeff = CoefficientSpec(kind="power", kappa=kappa, beta=beta)
     with pytest.raises(DomainError, match=key) as exc:
+        coeff = CoefficientSpec(kind="power", kappa=kappa, beta=beta)
         solve_nonlinear(OperatorSpec(kind="laplace"), SourceSpec(), 0.5,
                         coeff, np.sin(g.x), g, TimeGrid(1.0, 4, 1.0))
     assert {"kappa": "beta", "beta": "kappa"}[key] not in str(exc.value)
@@ -220,9 +221,9 @@ def test_energy_margins_match_the_exact_sums(N, alpha, grading, M):
     # the margins take march's history, B = 32 steps at a time, against
     # the exact D^a taken row by row: fewer steps than one block, one
     # block, one past it, partial last blocks, and a long far history at
-    # small alpha on a strongly graded mesh, where the two-power weights
-    # lose digits; the in-block two-power weights leave up to 2e-14 of
-    # the magnitude of the sums (measured for N <= 100)
+    # small alpha on a strongly graded mesh, where two-power weights
+    # lose digits; march's history leaves up to 6e-16 of the magnitude of
+    # the sums (measured for N <= 100)
     g = SpatialGrid1D(math.pi, M)
     tg = TimeGrid(10.0, N, grading)
     tr = solve_nonlinear(OperatorSpec(kind="laplace"), SourceSpec(), alpha,
@@ -309,9 +310,10 @@ def test_energy_overflow_is_nonfinite_state(spec):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _reference_fields(spec, source, alpha, coeff, u0, grid, tgrid, sweeps):
-    """The semi-implicit L1 step written out plainly: two powers per
-    weight, all-zero source arrays, a fresh band matrix per sweep and
-    scipy's solve_banded, under the solver's np.errstate.  It raises where
+    """The semi-implicit L1 step written out plainly: one weight row per
+    step, d^(1-a) expm1((1-a) log1p(h_k/d)) and h_n^(1-a) over G(2-a) h_k,
+    all-zero source arrays, a fresh band matrix per sweep and scipy's
+    solve_banded, under the solver's np.errstate.  It raises where
     solve_nonlinear must."""
     t = tgrid.nodes
     ht = np.diff(t)
@@ -323,9 +325,9 @@ def _reference_fields(spec, source, alpha, coeff, u0, grid, tgrid, sweeps):
     U[0] = u0
     dU = np.empty((N, M))
     for n in range(1, N + 1):
-        d = t[n] - t[:n + 1]
-        d[-1] = 0.0
-        row = (d[:-1] ** e - d[1:] ** e) / (g2 * ht[:n])
+        d = t[n] - t[1:n]
+        row = np.append(d ** e * np.expm1(e * np.log1p(ht[:n - 1] / d)),
+                        ht[n - 1:n] ** e) / (g2 * ht[:n])
         ann, hist, prev = row[-1], row[:-1] @ dU[:n - 1], U[n - 1]
         an = float(coeff.value(t[n]))
         ustar = unew = prev

@@ -181,10 +181,20 @@ def test_heat_coefficient_catalog_primitives():
 
 
 def test_nan_primitive_rejected():
+    # a NaN coefficient datum is refused where the coefficient is built,
+    # before it can make a NaN primitive
+    nan = math.nan
+    for field, value in [("kappa", nan), ("beta", nan), ("p", nan),
+                         ("q", nan), ("poly", (1.0, nan)),
+                         ("table_t", (0.0, nan)), ("table_a", (1.0, nan))]:
+        with pytest.raises(DomainError, match=field):
+            CoefficientSpec(kind="power", **{field: value})
+    # a finite coefficient whose primitive is not positive still reaches
+    # the solver's own check
     sys_ = interval_eigensystem(math.pi, "dirichlet", 2)
-    coeff = CoefficientSpec(kind="power", kappa=math.nan)
     with pytest.raises(NonpositivePrimitive):
-        solve_heat_general(sys_, coeff, np.ones(2), log_times(10.0))
+        solve_heat_general(sys_, CoefficientSpec(kind="power", kappa=0.0),
+                           np.ones(2), log_times(10.0))
 
 
 def test_tabulated_primitive_matches_trapezoid():
