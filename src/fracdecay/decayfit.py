@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousFit, DegenerateTrace, DomainError
+from .errors import AmbiguousFit, DegenerateTrace, require
 
 ENERGY_FLOOR = 1e-14
 TAIL_DROP = 0.05  # share of the final samples left out of fit windows
@@ -56,10 +56,9 @@ def _tail(times, energies, window):
     """The one tail rule of every fit and verdict: (t, E) samples with
     t > 0 and finite E above ENERGY_FLOOR, the mask of their last `window`
     decades without the final TAIL_DROP share (10 samples kept at least),
-    and its bounds.  DomainError for a window that is not positive and
-    finite; DegenerateTrace when samples or window hold fewer than 10 points."""
-    if not 0.0 < window < math.inf:
-        raise DomainError(f"fit window {window!r} is not positive and finite")
+    and its bounds.  DomainError for a window outside its DOMAINS entry;
+    DegenerateTrace when samples or window hold fewer than 10 points."""
+    require(window=window)
     t = np.asarray(times, dtype=float)
     e = np.asarray(energies, dtype=float)
     usable = (t > 0) & (e > ENERGY_FLOOR) & np.isfinite(e)

@@ -19,12 +19,11 @@ singularity at t = 0, which the graded mesh t_j = T (j/N)^r compensates.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RootSolveFailure
+from .errors import RootSolveFailure, require
 
 # steps per history block; with the SOE history, 32 was fastest on the
 # fd_stepping solves (best of 4: 0.77 s against 0.79-0.88 s for 16, 24, 48
@@ -75,9 +74,8 @@ def _soe(alpha, lo, hi):
 
 
 def default_grading(alpha: float) -> float:
-    """Grading exponent (2-a)/a, capped at 4, for alpha in (0, 1]."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha:g}")
+    """Grading exponent (2-a)/a, capped at 4."""
+    require(alpha=alpha)
     return min((2.0 - alpha) / alpha, 4.0)
 
 
@@ -90,16 +88,7 @@ class TimeGrid:
     grading: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.horizon < math.inf:
-            raise DomainError("horizon must be positive and finite")
-        if not isinstance(self.steps, numbers.Integral):
-            raise DomainError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise DomainError("need at least one step")
-        if not 1.0 <= self.grading < math.inf:
-            raise DomainError("grading exponent must be >= 1 and finite")
-        if not np.all(np.diff(self.nodes) > 0.0):
-            raise DomainError("grading makes nodes near t = 0 coincide")
+        require(T=self.horizon, steps=self.steps, grading=self.grading)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -116,14 +105,10 @@ class ScalarTrace:
 
 
 class CaputoL1Operator:
-    """Discrete Caputo derivative of order alpha in (0,1] on a fixed grid.
-
-    At alpha = 1 the weights take their L1 limit, which is backward Euler.
-    """
+    """Discrete Caputo derivative of order alpha on a fixed grid."""
 
     def __init__(self, grid: TimeGrid, alpha: float):
-        if not 0.0 < alpha <= 1.0:
-            raise DomainError("L1 weights require alpha in (0,1]")
+        require(alpha=alpha)
         self.grid = grid
         self.alpha = alpha
         self.nodes = grid.nodes  # t_0..t_N, for callers to share
@@ -218,8 +203,7 @@ class CaputoL1Operator:
 
 def _scalar_trace(op, beta, u0, solve) -> ScalarTrace:
     """Every node of the L1 march of a mode equation with factor t^beta."""
-    if not -op.alpha < beta < math.inf:
-        raise DomainError("require a finite beta > -alpha")
+    require(alpha=op.alpha, beta=beta)
     values = np.empty(op.grid.steps + 1)
     for n0, V in op.march(u0, solve):
         values[n0:n0 + len(V)] = V
@@ -231,11 +215,9 @@ def solve_linear_mode(alpha: float, beta: float, lam: float, u0: float,
     """Implicit L1 stepping of  D^a u + lam t^b u = 0,  u(0) = u0.
 
     The coefficient t^b is taken at the right endpoint of each step, so
-    negative b never touches t = 0.  At alpha = 1 the L1 weights reduce
-    to backward Euler.
+    negative b never touches t = 0.
     """
-    if not 0.0 <= lam < math.inf:
-        raise DomainError("lam must be nonnegative and finite")
+    require(lam=lam)
     op = CaputoL1Operator(grid, alpha)
     t = op.nodes
 
@@ -255,8 +237,7 @@ class SemilinearParams:
     H0: float
 
     def __post_init__(self):
-        if not all(0.0 < x < math.inf for x in (self.nu, self.delta, self.H0)):
-            raise DomainError("nu, delta, H0 must all be positive and finite")
+        require(nu=self.nu, delta=self.delta, beta=self.beta, H0=self.H0)
 
 
 def _step_root(c, delta, rhs):
@@ -294,8 +275,7 @@ def _step_root(c, delta, rhs):
 def solve_semilinear(params: SemilinearParams, alpha: float,
                      grid: TimeGrid) -> ScalarTrace:
     """Implicit L1 steps, each the root of  w + c w^delta = rhs  (c > 0) on
-    [0, rhs] to about an ulp; it exists while rhs stays positive.  At
-    alpha = 1 the L1 weights reduce to backward Euler."""
+    [0, rhs] to about an ulp; it exists while rhs stays positive."""
     op = CaputoL1Operator(grid, alpha)
     t = op.nodes
     nu, delta, beta = params.nu, params.delta, params.beta
@@ -317,10 +297,7 @@ def lemma_envelope(params: SemilinearParams, alpha: float):
     and decay like t^(-(a+b)/delta) past their switch times t1, t2.
     Returns (sub, super) as vectorized callables of t >= 0.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("envelopes require alpha in (0,1)")
-    if not -alpha < params.beta < math.inf:
-        raise DomainError("require a finite beta > -alpha")
+    require(alpha_frac=alpha, beta=params.beta)
     nu, delta, beta, H0 = params.nu, params.delta, params.beta, params.H0
     ab = alpha + beta
     g1 = math.gamma(1.0 - alpha)

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DomainError, GridMismatch, NonFiniteState,
-                     PositivityLoss, StepDivergence)
+                     PositivityLoss, StepDivergence, require)
 from .fracode import CaputoL1Operator, TimeGrid
 from .spectral import CoefficientSpec
 
@@ -44,10 +44,7 @@ class SpatialGrid1D:
     interior: int
 
     def __post_init__(self):
-        if not 0.0 < self.length < math.inf:
-            raise DomainError("length must be positive and finite")
-        if self.interior < 3:
-            raise DomainError("need at least 3 interior points")
+        require(L=self.length, points=self.interior)
 
     @property
     def h(self) -> float:
@@ -82,16 +79,7 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in OPERATORS:
             raise DomainError(f"unknown operator kind {self.kind!r}")
-        if self.kind in ("p_laplace", "kirchhoff") and not (
-                1 < self.p < math.inf):
-            raise DomainError("p-Laplace requires a finite p > 1")
-        if self.kind == "porous_medium" and not (0 <= self.m < math.inf
-                                                 and 0 < self.c0 < math.inf):
-            raise DomainError("porous medium requires finite m >= 0, c0 > 0")
-        if self.kind == "degenerate" and not 0 <= self.q < math.inf:
-            raise DomainError("degenerate operator requires a finite q >= 0")
-        if self.kind == "kirchhoff" and not 0 <= self.gamma < math.inf:
-            raise DomainError("Kirchhoff requires a finite gamma >= 0")
+        require(p=self.p, m=self.m, c0=self.c0, q=self.q, gamma=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -105,18 +93,13 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in SOURCES:
             raise DomainError(f"unknown source kind {self.kind!r}")
-        if not math.isfinite(self.mu):
-            raise DomainError("source rate mu must be finite")
-        if self.kind == "power_absorption" and not 1 < self.p < math.inf:
-            raise DomainError("absorption exponent must satisfy 1 < p < inf")
+        require(mu=self.mu, p=self.p)
 
 
 def predict_exponent(spec: OperatorSpec, alpha: float, beta: float) -> float:
     """Theoretical upper-bound decay exponent s = (a+b)/delta."""
-    s = (alpha + beta) / _DEGREE[spec.kind](spec)
-    if not s > 0:
-        raise DomainError("predicted exponent must be positive")
-    return s
+    require(alpha_frac=alpha, beta=beta)
+    return (alpha + beta) / _DEGREE[spec.kind](spec)
 
 
 def _half_coefficient(spec: OperatorSpec, u, h, out=None):
@@ -182,17 +165,11 @@ def solve_nonlinear(spec: OperatorSpec, source: SourceSpec, alpha: float,
     Per step: the Caputo history is explicit, the operator is applied
     implicitly with coefficients frozen at the previous iterate, and each
     extra sweep refreezes at the new iterate (up to 10).  Raises
-    DomainError unless a(t) = kappa t^beta meets the hypothesis kappa > 0,
-    beta > -alpha, and NonFiniteState when a step system, a state or an
-    energy is not finite.
+    DomainError unless a(t) = kappa t^beta meets the hypothesis beta > -alpha,
+    and NonFiniteState when a step system, a state or an energy is not finite.
     """
     from scipy.linalg.lapack import dgtsv
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("solver requires alpha in (0, 1)")
-    if not coeff.kappa > 0:
-        raise DomainError(f"a(t) needs kappa > 0, got {coeff.kappa:g}")
-    if not coeff.beta > -alpha:
-        raise DomainError(f"a(t) needs beta > -alpha, got {coeff.beta:g}")
+    require(alpha_frac=alpha, beta=coeff.beta)
     if not 1 <= sweeps <= 10:
         raise DomainError("sweeps must lie in 1..10")
     u0 = np.asarray(u0, dtype=float)

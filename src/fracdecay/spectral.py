@@ -20,18 +20,19 @@ import numpy as np
 
 from . import decayfit
 from .decayfit import DecayReport
-from .errors import DomainError, NonpositivePrimitive, QuadratureUnderResolved
+from .errors import (DomainError, NonpositivePrimitive,
+                     QuadratureUnderResolved, require)
+from .fracode import _gauss_jacobi
 from .specfun import KilbasSaigoParams, kilbas_saigo
 
-_GL_POINTS = 6
 PER_DECADE = 40  # log_times samples per decade
 # |u00| above which Neumann data has a conserved level E(t) -> |u00|
 NEUMANN_PLATEAU_TOL = 1e-12
 
 
 def _panel_rule(a, b, panels):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    x0, w0 = np.polynomial.legendre.leggauss(_GL_POINTS)
+    """Composite 6-point Gauss-Legendre nodes/weights on [a, b]."""
+    x0, w0 = _gauss_jacobi(6, 0.0)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
@@ -52,10 +53,6 @@ class EigenSystem:
     quad_nodes: np.ndarray   # (nq,) or (nq, 2)
     quad_weights: np.ndarray # (nq,)
 
-    @property
-    def dim(self) -> int:
-        return len(self.geometry)
-
 
 def _first_mode(bc):
     """Lowest 1-D mode index: sine modes start at 1, cosine modes at 0."""
@@ -74,8 +71,7 @@ def _mode_1d(L, bc, k, x):
 
 
 def interval_eigensystem(L: float, bc: str = "dirichlet", K: int = 64) -> EigenSystem:
-    if not 0.0 < L < math.inf or K < 1:
-        raise DomainError("need a finite L > 0 and K >= 1")
+    require(L=L, modes=K)
     start = _first_mode(bc)
     ks = np.arange(start, start + K)
     lam = (ks * math.pi / L) ** 2
@@ -87,8 +83,7 @@ def interval_eigensystem(L: float, bc: str = "dirichlet", K: int = 64) -> EigenS
 
 def rectangle_eigensystem(Lx: float, Ly: float, bc: str = "dirichlet",
                           K: int = 64) -> EigenSystem:
-    if not (0.0 < Lx < math.inf and 0.0 < Ly < math.inf) or K < 1:
-        raise DomainError("need finite positive side lengths and K >= 1")
+    require(L=(Lx, Ly), modes=K)
     start = _first_mode(bc)
     kmax = int(math.ceil(math.sqrt(2.0 * K))) + 2
     pairs = [(i, j) for i in range(start, kmax + 1) for j in range(start, kmax + 1)]
@@ -114,8 +109,9 @@ def rectangle_eigensystem(Lx: float, Ly: float, bc: str = "dirichlet",
 
 def log_times(T: float, t_min: float = 1e-2) -> np.ndarray:
     """Log-spaced sample times for decay reports."""
-    if not 0.0 < t_min < T < math.inf:
-        raise DomainError("sample times need 0 < t_min < T < inf")
+    require(T=T, t_min=t_min)
+    if not t_min < T:
+        raise DomainError(f"sample times need t_min < T, got {t_min:g}, {T:g}")
     decades = math.log10(T / t_min)
     n = max(2, int(round(decades * PER_DECADE)) + 1)
     return np.logspace(math.log10(t_min), math.log10(T), n)
@@ -127,7 +123,7 @@ def project_initial_data(sys: EigenSystem, u0) -> np.ndarray:
     Raises QuadratureUnderResolved when the Parseval defect
     ||u0||^2 - sum u_{0k}^2 exceeds 1% of ||u0||^2.
     """
-    if sys.dim == 1:
+    if len(sys.geometry) == 1:
         vals = np.asarray(u0(sys.quad_nodes), dtype=float)
     else:
         vals = np.asarray(u0(sys.quad_nodes[:, 0], sys.quad_nodes[:, 1]), dtype=float)
@@ -167,10 +163,7 @@ def _mode_decay_factor(alpha, beta, lam, times):
 def solve_subdiffusion(sys: EigenSystem, alpha: float, beta: float,
                        u0k: np.ndarray, times: np.ndarray) -> SolutionTrace:
     """Closed-form modal evolution of  D^a u = a(t) Lap u  with a(t) = t^b."""
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("alpha must lie in (0, 1]")
-    if not -alpha < beta < math.inf:
-        raise DomainError("require a finite beta > -alpha")
+    require(alpha=alpha, beta=beta)
     times = np.asarray(times, dtype=float)
     u0k = np.asarray(u0k, dtype=float)
     coeffs = np.empty((sys.K, len(times)))
@@ -204,9 +197,8 @@ class CoefficientSpec:
     table_a: tuple = ()
 
     def __post_init__(self):
-        for name in ("kappa", "beta", "p", "q", "poly", "table_t", "table_a"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise DomainError(f"coefficient {name} must be finite")
+        require(kappa=self.kappa, beta=self.beta, log_p=self.p, poly_q=self.q,
+                poly=self.poly, table_t=self.table_t, table_a=self.table_a)
 
     def value(self, t):
         """a(t); only the power kind, which the stepping solvers use."""
@@ -217,8 +209,6 @@ class CoefficientSpec:
     def primitive(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "power":
-            if self.beta <= -1.0:
-                raise NonpositivePrimitive("power primitive needs beta > -1")
             return self.kappa * t ** (self.beta + 1.0) / (self.beta + 1.0)
         if self.kind == "exponential_rate":
             return t ** self.beta

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdecay import cli, errors
 from fracdecay.cli import main
@@ -378,6 +383,18 @@ def test_decay_fit_model_selection(tmp_path, capsys):
     ["heat", "solve", "--kappa", "nan"],
     ["heat", "solve", "--beta", "nan"],
     ["heat", "solve", "--coeff-kind", "polynomial", "--poly", "1,inf"],
+    # finite values outside the DOMAINS table, which used to end in a
+    # warning or overflow traceback, or an error about another quantity
+    ["ode", "solve", "--alpha", "1e-300", "--beta", "0.5", "--delta", "2",
+     "--nu", "1", "--h0", "1"],
+    ["ode", "solve", "--alpha", "0.5", "--beta", "1e6", "--delta", "2",
+     "--nu", "1", "--h0", "1"],
+    ["heat", "solve", "--coeff-kind", "exponential_rate", "--beta", "1e6"],
+    ["nonlinear", "solve", "--L", "1e-300"],
+    ["heat", "solve", "--geometry", "interval:1e-300"],
+    ["subdiffusion", "solve", "--alpha", "1e-9"],
+    ["decay", "fit", "--input", "slow.dat", "--exponent", "1",
+     "--window", "400"],
 ], ids=["bad-geometry", "bad-poly", "zero-poly-constant", "poly-sign-change",
         "missing-input", "undecodable-input", "sweep-T-inf", "T-nan",
         "l-inf", "m-inf", "l-nan", "z-nan", "z-inf", "z-minus-inf",
@@ -390,7 +407,10 @@ def test_decay_fit_model_selection(tmp_path, capsys):
         "mu-nan", "mu-inf", "L-nan", "L-inf", "delta-nan", "nu-inf",
         "nu-nan", "h0-inf", "ode-beta-nan", "ode-beta-inf",
         "interval-inf", "interval-nan", "heat-interval-nan",
-        "heat-rectangle-nan", "kappa-nan", "heat-beta-nan", "poly-inf"])
+        "heat-rectangle-nan", "kappa-nan", "heat-beta-nan", "poly-inf",
+        "ode-alpha-tiny", "ode-beta-huge", "heat-exponential-beta-huge",
+        "L-tiny", "heat-interval-tiny", "subdiffusion-alpha-tiny",
+        "window-huge"])
 def test_bad_input_is_config_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "inf.ini").write_text("[scan]\nT = inf\npoints = 15\n")
@@ -411,10 +431,12 @@ def test_alpha_out_of_range_names_alpha(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, name", [
-    ("--geometry", "interval:nan", "finite L"), ("--beta", "nan", "beta")])
+    ("--geometry", "interval:nan", "finite L"), ("--beta", "nan", "beta"),
+    ("--alpha", "1e-9", "alpha")])
 def test_nan_parameter_names_itself(tmp_path, capsys, flag, value, name):
     # a NaN length used to reach the Kilbas-Saigo argument, and the
-    # message named z; a NaN beta, its indices m and l
+    # message named z; a NaN beta, its indices m and l; alpha = 1e-9, the
+    # Kilbas-Saigo bounds ("lower bound exceeds upper bound")
     assert run("--out", str(tmp_path), "subdiffusion", "solve", "--alpha",
                "0.5", flag, value) == 2
     assert name in capsys.readouterr().err
@@ -470,3 +492,116 @@ def test_seeded_random_data_is_deterministic(tmp_path):
     a = (tmp_path / "a" / "subdiffusion_trace.csv").read_bytes()
     b = (tmp_path / "b" / "subdiffusion_trace.csv").read_bytes()
     assert a == b
+
+
+# Each command the contract test drives: its subcommand and fixed flags,
+# then per flag the DOMAINS key it reads, its value and, for sizes, a cap
+# that keeps a run small (64 steps, 15 points, 4 modes); "L" stands for
+# --geometry=interval:L.
+_CONTRACT = {
+    "ode": (["ode", "solve"], {
+        "--alpha": ("alpha_frac", 0.5), "--beta": ("beta", 0.5),
+        "--delta": ("delta", 2.0), "--nu": ("nu", 1.0), "--h0": ("H0", 1.0),
+        "--T": ("T", 100.0), "--steps": ("steps", 64, 64),
+        "--grading": ("grading", 3.0)}),
+    "subdiffusion": (["subdiffusion", "solve"], {
+        "--alpha": ("alpha", 0.5), "--beta": ("beta", 0.5),
+        "L": ("L", math.pi), "--modes": ("modes", 4, 4),
+        "--T": ("T", 1e3)}),
+    "heat": (["heat", "solve"], {
+        "--beta": ("beta", 0.0), "--kappa": ("kappa", 1.0),
+        "--p": ("log_p", 1.0), "--q": ("poly_q", 1.0), "L": ("L", math.pi),
+        "--modes": ("modes", 4, 4), "--T": ("T", 1e3)}),
+    "nonlinear": (["nonlinear", "solve"], {
+        "--alpha": ("alpha_frac", 0.5), "--beta": ("beta", 0.5),
+        "--kappa": ("kappa", 1.0), "--L": ("L", math.pi),
+        "--points": ("points", 15, 15), "--steps": ("steps", 64, 64),
+        "--T": ("T", 100.0), "--grading": ("grading", 3.0),
+        "--p": ("p", 2.0), "--m": ("m", 0.0), "--q": ("q", 0.0),
+        "--gamma": ("gamma", 0.0), "--mu": ("mu", 0.0)}),
+    # the Kilbas-Saigo indices keep their own checks; only alpha is drawn
+    # from the table, with m, l and z in the near band
+    "specfun": (["specfun", "eval", "--m=2.0", "--l=1.0", "--z=-0.5"], {
+        "--alpha": ("alpha", 0.5)}),
+}
+_EDGES = ("lo_in", "lo_out", "hi_in", "hi_out", "interior")
+# (command, flag, where): every end of every field, inside and outside,
+# an interior draw, and beta just above and at -alpha
+_CASES = [(command, flag, where)
+          for command, (_, flags) in _CONTRACT.items() for flag in flags
+          for where in (_EDGES if command != "specfun" else
+                        ("lo_in", "hi_in", "interior"))
+          + (("rel_in", "rel_out") if flag == "--beta" and "--alpha" in flags
+             else ())]
+
+
+def _value(data, key, where, alpha, cap=None):
+    """A value of DOMAINS[key]: at or next to one end, or drawn inside."""
+    span = errors.DOMAINS[key]
+    lo, hi = (float(x) for x in span[1:-1].split(","))
+    lo_open, hi_open = span[0] == "(", span[-1] == ")"
+    if cap:  # integer sizes: closed ends, the upper one capped inside
+        lo, hi = int(lo), int(hi)
+    if where == "interior":
+        return data.draw(st.integers(lo, cap) if cap else
+                         st.floats(lo, hi, exclude_min=True, exclude_max=True))
+    if where.startswith("rel"):
+        return -alpha if where == "rel_out" else math.nextafter(-alpha, 1.0)
+    if cap:
+        return {"lo_in": lo, "lo_out": lo - 1, "hi_in": cap,
+                "hi_out": hi + 1}[where]
+    return {"lo_in": math.nextafter(lo, hi) if lo_open else lo,
+            "lo_out": lo if lo_open else math.nextafter(lo, -math.inf),
+            "hi_in": math.nextafter(hi, lo) if hi_open else hi,
+            "hi_out": hi if hi_open else math.nextafter(hi, math.inf)}[where]
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_cli_contract_at_the_domain_edges(data):
+    # inside the DOMAINS table a command ends in a status, never a traceback
+    # or a warning, and exit 0 writes a finite CSV; just outside it, or at
+    # beta <= -alpha, it is a usage error that names the field
+    command, flag, where = data.draw(st.sampled_from(_CASES))
+    base, flags = _CONTRACT[command]
+    values = {f: spec[1] for f, spec in flags.items()}
+    key, _, *cap = flags[flag]
+    values[flag] = _value(data, key, where, values.get("--alpha"), *cap)
+    if flag == "--beta" and "--alpha" in flags and \
+            values[flag] <= -values["--alpha"]:
+        where = "rel_out"
+    argv = base + [f"--geometry=interval:{v!r}" if f == "L" else f"{f}={v!r}"
+                   for f, v in values.items()]
+    if command == "heat":
+        argv.append("--coeff-kind=" + data.draw(st.sampled_from(
+            ["power", "exponential_rate", "logarithmic", "polynomial"])))
+    if command == "nonlinear":
+        argv.append("--operator=" + data.draw(st.sampled_from(cli.OPERATORS)))
+        argv.append("--source=" + data.draw(st.sampled_from(cli.SOURCES)))
+    with tempfile.TemporaryDirectory() as out:
+        err, txt = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(txt):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["--out", out] + argv)
+        if where.endswith("out"):
+            name = "beta" if where == "rel_out" else key.split("_frac")[0]
+            assert rc == 2 and name in err.getvalue(), (argv, err.getvalue())
+        elif rc == 0 and command == "specfun":
+            assert np.isfinite([float(v) for v in txt.getvalue().split()]).all()
+        elif rc == 0:
+            (csv,) = os.listdir(out)
+            _, cols = read_csv_columns(os.path.join(out, csv))
+            assert all(np.isfinite(c).all() for c in cols.values()), argv
+        assert rc in (0, 2, 3, 4, 5), (argv, rc, err.getvalue())
+
+
+def test_readme_domain_table_is_the_code_table():
+    # README's domain table restates errors.DOMAINS: each field has a row
+    # that names it and shows its interval
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = [ln for ln in fh if ln.startswith("| `")]
+    for name, span in errors.DOMAINS.items():
+        assert any(f"`{name}`" in row and f"`{span}`" in row
+                   for row in rows), name

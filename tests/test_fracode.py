@@ -37,7 +37,8 @@ def test_grid_validation():
     for horizon in (math.inf, math.nan):
         with pytest.raises(DomainError):
             TimeGrid(horizon, 16)
-    # nor a non-finite grading, nor one whose first nodes underflow to 0
+    # nor a non-finite grading, nor one past 10, whose first nodes could
+    # underflow to 0
     for grading in (math.inf, math.nan, 200.0):
         with pytest.raises(DomainError):
             TimeGrid(1.0, 1024, grading)
@@ -300,6 +301,10 @@ def test_linear_mode_positive_decreasing():
 def test_linear_mode_rejects_bad_exponent():
     with pytest.raises(DomainError):
         solve_linear_mode(0.5, -0.6, 1.0, 1.0, TimeGrid(1.0, 16))
+    # and an eigenvalue outside [0, 1e12]
+    for lam in (-1.0, math.nan, 1e13):
+        with pytest.raises(DomainError, match="lam"):
+            solve_linear_mode(0.5, 0.5, lam, 1.0, TimeGrid(1.0, 16))
 
 
 def test_semilinear_positive_decreasing():

@@ -89,6 +89,8 @@ def test_operator_validation():
         OperatorSpec(kind="p_laplace", p=1.0)
     with pytest.raises(DomainError):
         OperatorSpec(kind="porous_medium", m=-1.0)
+    with pytest.raises(DomainError, match="c0"):
+        OperatorSpec(kind="porous_medium", c0=0.0)
     with pytest.raises(DomainError):
         SourceSpec(kind="power_absorption", p=0.5)
 
@@ -132,6 +134,9 @@ def test_predict_exponent_table():
     for kind, kw, expect in vals:
         s = predict_exponent(OperatorSpec(kind=kind, **kw), 0.5, 0.5)
         assert isinstance(s, float) and s == pytest.approx(expect)
+    # beta <= -alpha would predict no decay
+    with pytest.raises(DomainError, match="beta"):
+        predict_exponent(OperatorSpec(kind="laplace"), 0.5, -0.5)
 
 
 def test_linear_diffusion_tracks_modal_solution():

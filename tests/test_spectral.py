@@ -189,11 +189,18 @@ def test_nan_primitive_rejected():
                          ("table_t", (0.0, nan)), ("table_a", (1.0, nan))]:
         with pytest.raises(DomainError, match=field):
             CoefficientSpec(kind="power", **{field: value})
-    # a finite coefficient whose primitive is not positive still reaches
-    # the solver's own check
+    # so are kappa = 0, outside the hypothesis kappa > 0, and beta = -1,
+    # where the power primitive is no longer finite
+    with pytest.raises(DomainError, match="kappa"):
+        CoefficientSpec(kind="power", kappa=0.0)
+    with pytest.raises(DomainError, match="beta"):
+        CoefficientSpec(kind="power", beta=-1.0)
+    # a coefficient inside its domain whose primitive is not positive still
+    # reaches the solver's own check: P(t) = 2 - t + t^2 dips below P(0)
     sys_ = interval_eigensystem(math.pi, "dirichlet", 2)
     with pytest.raises(NonpositivePrimitive):
-        solve_heat_general(sys_, CoefficientSpec(kind="power", kappa=0.0),
+        solve_heat_general(sys_, CoefficientSpec(kind="polynomial",
+                                                 poly=(2.0, -1.0, 1.0)),
                            np.ones(2), log_times(10.0))
 
 
