@@ -139,15 +139,10 @@ def _cmd_subdiffusion_solve(args):
     u0k = _spectral_u0(sys_, args.u0, args.seed)
     times = spectral.log_times(args.T)
     tr = spectral.solve_subdiffusion(sys_, args.alpha, args.beta, u0k, times)
-    if sys_.bc == "dirichlet":
-        rep = spectral.verify_dirichlet_sandwich(tr, sys_, args.alpha,
-                                                 args.beta)
-    else:
-        rep = spectral.verify_neumann(tr, sys_, args.alpha, args.beta,
-                                      u0k[0], u0k[1:2].sum())  # K = 1 refused
+    rep = spectral.verify_subdiffusion(tr, sys_, args.alpha, args.beta)
     return _emit(args, "subdiffusion_trace.csv",
                  ["t", "E", "bound_lower", "bound_upper"],
-                 [times, tr.energies, *rep.bounds(times)], rep.verdict)
+                 [times, tr.energies, rep.lower, rep.upper], rep.verdict)
 
 
 def _cmd_heat_solve(args):
@@ -158,14 +153,9 @@ def _cmd_heat_solve(args):
                             beta=args.beta, p=args.p, q=args.q, poly=args.poly)
     times = spectral.log_times(args.T)
     tr = spectral.solve_heat_general(sys_, coeff, u0k, times)
-    # modal domination: |u01| e^{-lam1 A} <= E <= ||u0|| e^{-lam1 A}
-    lam1 = sys_.lambdas[0]
-    A = np.asarray(coeff.primitive(times), dtype=float)
-    lo = abs(u0k[0]) * np.exp(-lam1 * A)
-    hi = float(np.linalg.norm(u0k)) * np.exp(-lam1 * A)
     return _emit(args, "heat_trace.csv",
                  ["t", "E", "bound_lower", "bound_upper"],
-                 [times, tr.energies, lo, hi])
+                 [times, tr.energies, *spectral.heat_bounds(tr, sys_, coeff)])
 
 
 def _nonlinear_u0(grid, text, seed):
@@ -196,7 +186,7 @@ def _run_nonlinear(args):
     s = predict_exponent(spec, args.alpha, args.beta)
     rep = decayfit.check_envelope(tr.times, tr.energies, s, two_sided=False)
     return (["t", "E", "predicted_bound"],
-            [tr.times, tr.energies, rep.bounds(tr.times)[1]],
+            [tr.times, tr.energies, rep.upper],
             rep.verdict, f"exponent={s:g}")
 
 

@@ -3,8 +3,10 @@
 Decay estimates bound energies by profiles of the shape c/(1+t^s),
 c exp(-lam t^b), c (1+log(1+t))^(-p) or a plateau; this module fits those
 families in log space and checks two-sided envelopes.  ``check_envelope``
-is the one place a decay verdict is decided; verdicts are data, not
-exceptions: a failed sandwich comes back as ``violated``.
+decides the verdicts of traces that carry no modal data (``decay fit`` on
+a CSV, the nonlinear solves); spectral traces are judged against their
+explicit modal bounds in ``spectral``.  Verdicts are data, not exceptions:
+a failed sandwich comes back as ``violated``.
 """
 
 from __future__ import annotations
@@ -35,14 +37,8 @@ class DecayReport:
     envelope_lower: float = math.nan  # tightest m with m/(1+t^s) <= E
     envelope_upper: float = math.nan  # tightest M with E <= M/(1+t^s)
     notes: str = ""
-    rate: float = 1.0   # profile level + constant/(1 + rate t^s)
-    level: float = 0.0
-
-    def bounds(self, times):
-        """(lower, upper) profiles of the two envelope constants at times."""
-        prof = 1.0 + self.rate * times ** self.predicted_exponent
-        return (self.level + self.envelope_lower / prof,
-                self.level + self.envelope_upper / prof)
+    lower: np.ndarray = None  # the bounds the verdict was decided on,
+    upper: np.ndarray = None  # one per sample time
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,8 @@ def check_envelope(times, energies, exponent: float, two_sided: bool = True,
     try:
         t, e, mask, window = _tail(times, energies, fit_window)
     except DegenerateTrace as exc:
-        return DecayReport(verdict="degenerate", notes=str(exc))
+        nan = np.full(np.shape(times), math.nan)
+        return DecayReport("degenerate", notes=str(exc), lower=nan, upper=nan)
     q = e * (1.0 + t ** exponent)
     lt = np.log(t[mask])
     slope = _line_fit(lt, np.log(q[mask]))[0]
@@ -165,13 +162,12 @@ def check_envelope(times, energies, exponent: float, two_sided: bool = True,
         verdict = "sandwich_ok" if abs(slope) <= SLOPE_TOL else "violated"
     else:
         verdict = "upper_only_ok" if slope <= SLOPE_TOL else "violated"
+    lower, upper = float(np.min(q)), float(np.max(q))
+    with np.errstate(invalid="ignore"):  # no profile (NaN) before t = 0
+        prof = 1.0 + np.asarray(times, dtype=float) ** exponent
     return DecayReport(
-        verdict=verdict,
-        fitted_exponent=-float(neg_s),
-        window=window,
-        residual_rms=resid,
-        predicted_exponent=exponent,
-        envelope_lower=float(np.min(q)),
-        envelope_upper=float(np.max(q)),
+        verdict, fitted_exponent=-float(neg_s), window=window,
+        residual_rms=resid, predicted_exponent=exponent,
+        envelope_lower=lower, envelope_upper=upper,
         notes=f"tail slope of E(1+t^s): {slope:+.3f}",
-    )
+        lower=lower / prof, upper=upper / prof)

@@ -132,23 +132,26 @@ class BoundPair:
 
 
 def kilbas_saigo_bounds(alpha: float, m: float, z: float) -> BoundPair:
-    """Two-sided rational bounds for E_{alpha,m,m-1}(-z), z >= 0.
-
-    lower = 1/(1 + G(1-alpha) z),  upper = 1/(1 + [G(1+(m-1)a)/G(1+ma)] z).
-    At m = 1 they are Simon's bounds for E_alpha(-z) (Electron. J. Probab.
-    19, 2014).
-    """
+    """Two-sided rational bounds 1/(1 + r z) for E_{alpha,m,m-1}(-z), z >= 0,
+    with the two rates r of `bound_rates`; at m = 1 they are Simon's bounds
+    for E_alpha(-z) (Electron. J. Probab. 19, 2014)."""
     if not 0.0 < alpha < 1.0:
         raise DomainError("bounds require 0 < alpha < 1")
     if not m >= 1.0:
         raise DomainError("bounds require m >= 1")
     if not z >= 0.0:  # also NaN
         raise DomainError(f"bounds are stated for z >= 0, got z = {z!r}")
-    lower = 1.0 / (1.0 + math.gamma(1.0 - alpha) * z)
-    ratio = math.exp(math.lgamma(1.0 + (m - 1.0) * alpha)
-                     - math.lgamma(1.0 + m * alpha))
-    upper = 1.0 / (1.0 + ratio * z)
-    return BoundPair(lower=lower, upper=upper)
+    lower_rate, upper_rate = bound_rates(alpha, m)
+    return BoundPair(lower=1.0 / (1.0 + lower_rate * z),
+                     upper=1.0 / (1.0 + upper_rate * z))
+
+
+def bound_rates(alpha: float, m: float) -> tuple:
+    """(G(1-a), G(1+(m-1)a)/G(1+ma)), the lower bound's rate infinite at
+    a = 1, where G(0) = inf."""
+    lower_rate = math.gamma(1.0 - alpha) if alpha < 1.0 else math.inf
+    return lower_rate, math.exp(math.lgamma(1.0 + (m - 1.0) * alpha)
+                                - math.lgamma(1.0 + m * alpha))
 
 
 # {{{ series internals

@@ -171,6 +171,22 @@ def test_subdiffusion_default_beta_is_ok(tmp_path, capsys, extra):
     assert "sandwich_ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, verdict", [
+    (["--bc", "neumann", "--geometry", "rectangle:3,2", "--modes", "9",
+      "--u0", "mean_zero", "--alpha", "0.8", "--beta", "0.4", "--T", "300"],
+     "sandwich_ok"),
+    (["--alpha", "0.5", "--beta", "0.5", "--u0", "parabola", "--T", "100"],
+     "sandwich_ok"),
+    (["--alpha", "0.9", "--beta", "-0.3", "--T", "100"], "sandwich_ok"),
+    (["--alpha", "1", "--beta", "0.5"], "upper_only_ok"),
+], ids=["neumann-rectangle", "parabola-short", "beta-negative", "alpha-one"])
+def test_subdiffusion_short_horizons_are_ok(tmp_path, capsys, argv, verdict):
+    # closed-form traces whose tail has not settled by T are still inside
+    # their explicit modal bounds; at alpha = 1 only the upper bound exists
+    assert run("--out", str(tmp_path), "subdiffusion", "solve", *argv) == 0
+    assert verdict in capsys.readouterr().out
+
+
 def test_heat_solve(tmp_path):
     assert run("--out", str(tmp_path), "heat", "solve",
                "--coeff-kind", "power", "--kappa", "1", "--beta", "1",
@@ -180,6 +196,19 @@ def test_heat_solve(tmp_path):
     # E = sqrt(coeff^2) underflows before the directly computed bound does
     live = cols["E"] > 1e-300
     assert np.all(cols["bound_lower"][live] <= cols["E"][live] * (1 + 1e-12))
+
+
+def test_heat_neumann_bounds_hold(tmp_path):
+    # mean-zero Neumann data decays with the first positive eigenvalue on
+    # both sides; E = sqrt(sum u_k^2) underflows to 0 before the bounds do
+    assert run("--out", str(tmp_path), "heat", "solve", "--bc", "neumann",
+               "--u0", "mean_zero") == 0
+    _, cols = read_csv_columns(str(tmp_path / "heat_trace.csv"))
+    live = cols["E"] > 0
+    assert live.sum() > 100
+    assert np.all(cols["bound_lower"][live] <= cols["E"][live] * (1 + 1e-12))
+    assert np.all(cols["E"] <= cols["bound_upper"] * (1 + 1e-12))
+    assert cols["bound_upper"][-1] < 1e-100
 
 
 def test_heat_solve_needs_no_alpha(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,8 +85,10 @@ def test_dirichlet_sandwich_verdict():
     tr = solve_subdiffusion(sys_, 0.5, 0.5, u0k, times)
     rep = verify_dirichlet_sandwich(tr, sys_, 0.5, 0.5)
     assert rep.verdict == "sandwich_ok"
-    assert rep.fitted_exponent == pytest.approx(1.0, abs=0.05)
-    assert 0.0 < rep.envelope_lower <= rep.envelope_upper < math.inf
+    assert fit_power_tail(times, tr.energies)[0] == pytest.approx(1.0,
+                                                                 abs=0.05)
+    assert np.all(0.0 < rep.lower) and np.all(rep.lower < tr.energies)
+    assert np.all(tr.energies < rep.upper)
 
 
 def test_single_mode_sandwich():
@@ -94,19 +97,8 @@ def test_single_mode_sandwich():
                             log_times(1e4, t_min=1.0))
     rep = verify_dirichlet_sandwich(tr, sys1, 0.3, 0.4)
     assert rep.verdict == "sandwich_ok"
-    assert rep.fitted_exponent == pytest.approx(0.7, abs=0.05)
-
-
-def test_report_fit_is_the_power_tail_fit():
-    # the envelope check fits E on the same lam_1-scaled window as
-    # fit_power_tail does on its own
-    sys_ = interval_eigensystem(2.0, "dirichlet", 4)
-    tr = solve_subdiffusion(sys_, 0.6, 0.2, np.array([1.0, 0.0, 0.3, 0.0]),
-                            log_times(1e3))
-    rep = verify_dirichlet_sandwich(tr, sys_, 0.6, 0.2)
-    tau = sys_.lambdas[0] ** (1.0 / 0.8) * tr.times
-    s, _, resid = fit_power_tail(tau, tr.energies)
-    assert (rep.fitted_exponent, rep.residual_rms) == (s, resid)
+    assert fit_power_tail(tr.times, tr.energies)[0] == pytest.approx(0.7,
+                                                                    abs=0.05)
 
 
 @pytest.mark.parametrize("bc, u0k", [
@@ -116,27 +108,71 @@ def test_report_fit_is_the_power_tail_fit():
     ("neumann", [0.0, 1.0, 0.0, 0.5]),
 ], ids=["dirichlet", "neumann-constant", "neumann-level", "neumann-mean-zero"])
 def test_report_bounds_are_the_envelope_profile(bc, u0k):
-    # bit for bit level + constant / (1 + lam t^(a+b)), lam the first
-    # positive eigenvalue (not 1 on this interval) and level |u00| when
-    # Neumann data has a mean
+    # bit for bit Simon's profiles 1/(1 + r lam t^(a+b)) of the slowest
+    # decaying mode present, r = G(1-a) below and G(1+(m-1)a)/G(1+ma),
+    # m = 1 + b/a, above,
+    # scaled by |u_k*| and by the norm of the decaying data, with the
+    # conserved level |u00| in quadrature
     sys_ = interval_eigensystem(2.0, bc, 4)
     times = log_times(1e3)
-    tr = solve_subdiffusion(sys_, 0.5, 0.5, np.array(u0k), times)
+    u0k = np.array(u0k)
+    tr = solve_subdiffusion(sys_, 0.6, 0.3, u0k, times)
     if bc == "dirichlet":
-        rep = verify_dirichlet_sandwich(tr, sys_, 0.5, 0.5)
-        level = 0.0
+        rep = verify_dirichlet_sandwich(tr, sys_, 0.6, 0.3)
     else:
-        rep = verify_neumann(tr, sys_, 0.5, 0.5, u0k[0], u0k[1])
-        level = abs(u0k[0])
-    lam = sys_.lambdas[sys_.lambdas > 0][0]
-    prof = 1.0 + lam * times ** (0.5 + 0.5)
-    lo, hi = rep.bounds(times)
-    assert lo.tobytes() == (level + rep.envelope_lower / prof).tobytes()
-    assert hi.tobytes() == (level + rep.envelope_upper / prof).tobytes()
-    assert rep.verdict in ("sandwich_ok", "upper_only_ok")
-    live = tr.energies > 1e-12
-    assert np.all(lo[live] <= tr.energies[live] * (1 + 1e-12))
-    assert np.all(tr.energies <= hi * (1 + 1e-12))
+        rep = verify_neumann(tr, sys_, 0.6, 0.3, u0k[0], u0k[1])
+    decaying = sys_.lambdas > 0
+    level2 = np.sum(u0k[~decaying] ** 2)
+    live = np.flatnonzero(decaying & (u0k != 0))
+    lo = hi = np.zeros_like(times)
+    if live.size:
+        z = sys_.lambdas[live[0]] * times ** (0.6 + 0.3)
+        m = 1.0 + 0.3 / 0.6
+        rho = math.exp(math.lgamma(1.0 + (m - 1.0) * 0.6)
+                       - math.lgamma(1.0 + m * 0.6))
+        lo = abs(u0k[live[0]]) * (1.0 / (1.0 + math.gamma(1.0 - 0.6) * z))
+        hi = np.sqrt(np.sum(u0k[live] ** 2)) * (1.0 / (1.0 + rho * z))
+    assert rep.lower.tobytes() == np.sqrt(lo ** 2 + level2).tobytes()
+    assert rep.upper.tobytes() == np.sqrt(hi ** 2 + level2).tobytes()
+    assert rep.verdict == ("sandwich_ok" if live.size else "upper_only_ok")
+    assert np.all(rep.lower <= tr.energies * (1 + 1e-12))
+    assert np.all(tr.energies <= rep.upper * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("factor", [0.98, 1.5])
+def test_wrong_eigenvalues_violate_the_bounds(factor):
+    # a trace solved with every lam_k x 0.98 decays too slowly for the true
+    # system's upper bound, one with lam_k x 1.5 too fast for its lower
+    # bound (which is loose: x 1.02 stays inside it)
+    sys_ = interval_eigensystem(math.pi, "dirichlet", 16)
+    u0k = project_initial_data(sys_, lambda x: x * (math.pi - x))
+    wrong = dataclasses.replace(sys_, lambdas=factor * sys_.lambdas)
+    tr = solve_subdiffusion(wrong, 0.5, 0.5, u0k, log_times(1e3))
+    assert verify_dirichlet_sandwich(tr, wrong, 0.5, 0.5).verdict == \
+        "sandwich_ok"
+    assert verify_dirichlet_sandwich(tr, sys_, 0.5, 0.5).verdict == "violated"
+
+
+# (alpha, beta) over alpha in (0.1, 1) and beta in (-alpha, 1), with beta < 0
+# where the series solves every mode up to T = 10
+_SWEEP = [(0.15, 0.5), (0.2, 0.3), (0.3, 0.6), (0.45, -0.3), (0.5, -0.05),
+          (0.6, 0.1), (0.75, -0.6), (0.8, -0.4), (0.9, 0.9), (0.95, -0.2)]
+
+
+@pytest.mark.parametrize("alpha, beta", _SWEEP)
+@pytest.mark.parametrize("dims", [(6.0,), (6.0, 4.5)],
+                         ids=["interval", "rectangle"])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_correct_traces_are_never_violated(alpha, beta, dims, bc):
+    if len(dims) == 1:
+        sys_ = interval_eigensystem(*dims, bc, 3)
+    else:
+        sys_ = rectangle_eigensystem(*dims, bc, 3)
+    u0k = np.random.default_rng(1).standard_normal(3)
+    tr = solve_subdiffusion(sys_, alpha, beta, u0k, log_times(10.0))
+    verify = verify_dirichlet_sandwich if bc == "dirichlet" else \
+        lambda *a: verify_neumann(*a, u0k[0], u0k[1])
+    assert verify(tr, sys_, alpha, beta).verdict == "sandwich_ok"
 
 
 def test_log_times_validation():
