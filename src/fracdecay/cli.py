@@ -17,7 +17,8 @@ import numpy as np
 
 from . import decayfit, io, reproduce, spectral
 from .errors import (AmbiguousFit, ConfigError, DegenerateTrace, DomainError,
-                     FracdecayError, InadmissibleParams, PositivityLoss)
+                     FracdecayError, InadmissibleParams, NonpositivePrimitive,
+                     PositivityLoss)
 from .fracode import (SemilinearParams, TimeGrid, default_grading,
                       lemma_envelope, solve_semilinear)
 from .nonlinear import (OPERATORS, SOURCES, OperatorSpec, SourceSpec,
@@ -34,7 +35,8 @@ EXIT_NUMERIC = 5
 # stderr prefix and exit status of each error family; the first family
 # that matches wins, and every other toolkit error is a numeric failure
 _ERRORS = (
-    ((ConfigError, DomainError, InadmissibleParams), "error", EXIT_CONFIG),
+    ((ConfigError, DomainError, InadmissibleParams, NonpositivePrimitive),
+     "error", EXIT_CONFIG),
     ((DegenerateTrace, AmbiguousFit), "degenerate", EXIT_DEGENERATE),
     (PositivityLoss, "violation", EXIT_VIOLATION),
     (FracdecayError, "numeric failure", EXIT_NUMERIC),

@@ -146,9 +146,16 @@ def check_envelope(times, energies, exponent: float, two_sided: bool = True,
     The window is ``_tail``'s, as in ``fit_power_tail``, which gives the
     same ``fitted_exponent`` and ``residual_rms``; a trace or window that
     ``_tail`` finds too small is ``degenerate``, with its reason as notes.
+    An exponent not positive and finite, or whose profile overflows at a
+    finite time of the trace, raises DegenerateTrace.
     """
     if not 0.0 < exponent < math.inf:
         raise DegenerateTrace("envelope exponent not positive and finite")
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN before t = 0
+        prof = 1.0 + np.asarray(times, dtype=float) ** exponent
+    if np.isinf(prof[np.isfinite(times)]).any():
+        raise DegenerateTrace(f"envelope exponent {exponent:g} overflows "
+                              f"1 + t^s on the trace's times")
     try:
         t, e, mask, window = _tail(times, energies, fit_window)
     except DegenerateTrace as exc:
@@ -163,8 +170,6 @@ def check_envelope(times, energies, exponent: float, two_sided: bool = True,
     else:
         verdict = "upper_only_ok" if slope <= SLOPE_TOL else "violated"
     lower, upper = float(np.min(q)), float(np.max(q))
-    with np.errstate(invalid="ignore"):  # no profile (NaN) before t = 0
-        prof = 1.0 + np.asarray(times, dtype=float) ** exponent
     return DecayReport(
         verdict, fitted_exponent=-float(neg_s), window=window,
         residual_rms=resid, predicted_exponent=exponent,

@@ -13,6 +13,7 @@ count; a Parseval-defect guard catches under-resolved projections.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,11 +47,14 @@ class EigenSystem:
 
     geometry: tuple          # (L,) or (Lx, Ly)
     bc: str                  # "dirichlet" | "neumann"
-    K: int
     lambdas: np.ndarray      # (K,) ascending
     basis: np.ndarray        # (K, nq) eigenfunctions at quadrature nodes
-    quad_nodes: np.ndarray   # (nq,) or (nq, 2)
+    quad_nodes: np.ndarray   # (nq, d)
     quad_weights: np.ndarray # (nq,)
+
+    @property
+    def K(self) -> int:
+        return len(self.lambdas)
 
 
 def _first_mode(bc):
@@ -69,41 +73,39 @@ def _mode_1d(L, bc, k, x):
     return math.sqrt(2.0 / L) * np.cos(k * math.pi / L * x)
 
 
-def interval_eigensystem(L: float, bc: str = "dirichlet", K: int = 64) -> EigenSystem:
-    require(L=L, modes=K)
+def _box_eigensystem(lengths, bc, K):
+    """The K lowest product modes of the box prod_i (0, L_i), ties in index
+    order.  A mode with an axis index >= start + K has K modes below it
+    along that axis, so the index tuples in [start, start + K)^d hold them
+    all.  An axis using n 1-D modes gets 4n + 1 six-point Gauss-Legendre
+    panels; basis and quadrature are tensor products over the axes."""
+    require(L=lengths, modes=K)
     start = _first_mode(bc)
-    ks = np.arange(start, start + K)
-    lam = (ks * math.pi / L) ** 2
-    nodes, weights = _panel_rule(0.0, L, 4 * K + 1)
-    basis = np.array([_mode_1d(L, bc, k, nodes) for k in ks])
-    return EigenSystem(geometry=(L,), bc=bc, K=K, lambdas=lam, basis=basis,
-                       quad_nodes=nodes, quad_weights=weights)
+    idx = np.array(list(itertools.product(range(start, start + K),
+                                          repeat=len(lengths))))
+    lam = np.sum((idx * math.pi / np.array(lengths)) ** 2, axis=1)
+    order = np.argsort(lam, kind="stable")[:K]
+    idx, lam = idx[order], lam[order]
+    basis, weights, axes = np.ones((K, 1)), np.ones(1), []
+    for L, ks in zip(lengths, idx.T):
+        x, w = _panel_rule(0.0, L, 4 * (ks.max() + 1 - start) + 1)
+        modes = np.array([_mode_1d(L, bc, k, x) for k in ks])
+        basis = (basis[:, :, None] * modes[:, None, :]).reshape(K, -1)
+        weights = np.outer(weights, w).ravel()
+        axes.append(x)
+    nodes = np.meshgrid(*axes, indexing="ij")
+    return EigenSystem(geometry=tuple(lengths), bc=bc, lambdas=lam,
+                       basis=basis, quad_weights=weights,
+                       quad_nodes=np.column_stack([x.ravel() for x in nodes]))
+
+
+def interval_eigensystem(L: float, bc: str = "dirichlet", K: int = 64) -> EigenSystem:
+    return _box_eigensystem((L,), bc, K)
 
 
 def rectangle_eigensystem(Lx: float, Ly: float, bc: str = "dirichlet",
                           K: int = 64) -> EigenSystem:
-    require(L=(Lx, Ly), modes=K)
-    start = _first_mode(bc)
-    kmax = int(math.ceil(math.sqrt(2.0 * K))) + 2
-    pairs = [(i, j) for i in range(start, kmax + 1) for j in range(start, kmax + 1)]
-    lam = [(i * math.pi / Lx) ** 2 + (j * math.pi / Ly) ** 2 for i, j in pairs]
-    order = np.argsort(lam, kind="stable")[:K]
-    pairs = tuple(pairs[i] for i in order)
-    lam = np.array([lam[i] for i in order])
-
-    k1 = max(p[0] for p in pairs)
-    k2 = max(p[1] for p in pairs)
-    nx, wx = _panel_rule(0.0, Lx, 4 * k1 + 1)
-    ny, wy = _panel_rule(0.0, Ly, 4 * k2 + 1)
-    X, Y = np.meshgrid(nx, ny, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    weights = np.outer(wx, wy).ravel()
-    basis = np.empty((K, len(weights)))
-    for i, (kx, ky) in enumerate(pairs):
-        basis[i] = (_mode_1d(Lx, bc, kx, nx)[:, None]
-                    * _mode_1d(Ly, bc, ky, ny)[None, :]).ravel()
-    return EigenSystem(geometry=(Lx, Ly), bc=bc, K=K, lambdas=lam, basis=basis,
-                       quad_nodes=nodes, quad_weights=weights)
+    return _box_eigensystem((Lx, Ly), bc, K)
 
 
 def log_times(T: float, t_min: float = 1e-2) -> np.ndarray:
@@ -122,10 +124,7 @@ def project_initial_data(sys: EigenSystem, u0) -> np.ndarray:
     Raises QuadratureUnderResolved when the Parseval defect
     ||u0||^2 - sum u_{0k}^2 exceeds 1% of ||u0||^2.
     """
-    if len(sys.geometry) == 1:
-        vals = np.asarray(u0(sys.quad_nodes), dtype=float)
-    else:
-        vals = np.asarray(u0(sys.quad_nodes[:, 0], sys.quad_nodes[:, 1]), dtype=float)
+    vals = np.asarray(u0(*sys.quad_nodes.T), dtype=float)
     coeffs = sys.basis @ (sys.quad_weights * vals)
     norm2 = float(sys.quad_weights @ vals ** 2)
     defect = norm2 - float(coeffs @ coeffs)

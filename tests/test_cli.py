@@ -329,6 +329,19 @@ def test_decay_fit_degenerate_exit_code(tmp_path, monkeypatch, capsys, argv,
     assert "degenerate" in getattr(capsys.readouterr(), stream)
 
 
+def test_decay_fit_overflowing_exponent_is_degenerate(tmp_path, capsys):
+    # 1 + t^1000 overflows at the trace's last times (t up to 1e3): the
+    # exponent is named in a degenerate error, with no overflow warning
+    t = np.logspace(-1, 3, 200)
+    path = str(tmp_path / "slow.csv")
+    write_csv_atomic(path, ["t", "E"], [t, t ** -0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("decay", "fit", "--input", path, "--exponent", "1000") == 4
+    assert capsys.readouterr().err.startswith(
+        "degenerate: envelope exponent 1000 overflows")
+
+
 def test_decay_fit_model_selection(tmp_path, capsys):
     t = np.logspace(-1, 3, 200)
     write_csv_atomic(str(tmp_path / "pow.csv"), ["t", "E"],
@@ -342,6 +355,9 @@ def test_decay_fit_model_selection(tmp_path, capsys):
     ["heat", "solve", "--coeff-kind", "polynomial", "--poly", "1,abc"],
     ["heat", "solve", "--coeff-kind", "polynomial", "--poly", "0,1"],
     ["heat", "solve", "--coeff-kind", "polynomial", "--poly", "1,-1"],
+    # a(t) = 0, and A(t) < 0 on (0, 1), break the hypothesis A(t) > 0
+    ["heat", "solve", "--coeff-kind", "polynomial", "--poly", "1"],
+    ["heat", "solve", "--coeff-kind", "polynomial", "--poly", "2,-1,1"],
     ["decay", "fit", "--input", "missing.csv"],
     ["decay", "fit", "--input", "binary.dat"],
     ["nonlinear", "solve", "--experiment", "inf.ini"],
@@ -425,7 +441,8 @@ def test_decay_fit_model_selection(tmp_path, capsys):
     ["decay", "fit", "--input", "slow.dat", "--exponent", "1",
      "--window", "400"],
 ], ids=["bad-geometry", "bad-poly", "zero-poly-constant", "poly-sign-change",
-        "missing-input", "undecodable-input", "sweep-T-inf", "T-nan",
+        "poly-zero-primitive", "poly-negative-primitive", "missing-input",
+        "undecodable-input", "sweep-T-inf", "T-nan",
         "l-inf", "m-inf", "l-nan", "z-nan", "z-inf", "z-minus-inf",
         "window-zero", "window-negative",
         "window-nan", "repeated-column", "grading-nan", "grading-inf",
@@ -483,7 +500,7 @@ def test_nan_parameter_names_itself(tmp_path, capsys, flag, value, name):
     (errors.NonFiniteState, "numeric failure", 5),
     (errors.StepDivergence, "numeric failure", 5),
     (errors.QuadratureUnderResolved, "numeric failure", 5),
-    (errors.NonpositivePrimitive, "numeric failure", 5),
+    (errors.NonpositivePrimitive, "error", 2),
 ])
 def test_error_family_prefix_and_exit_code(monkeypatch, capsys, error,
                                            prefix, code):

@@ -35,6 +35,75 @@ def test_basis_orthonormal_under_quadrature():
         assert np.max(np.abs(G - np.eye(8))) < 1e-12
 
 
+def _lowest_modes(dims, bc, K):
+    """Index pairs and eigenvalues of the K lowest modes of a rectangle,
+    ties in index order, from every pair up to 2K along each axis."""
+    start = 1 if bc == "dirichlet" else 0
+    i, j = np.meshgrid(np.arange(start, 2 * K + 1),
+                       np.arange(start, 2 * K + 1), indexing="ij")
+    lam = ((i * math.pi / dims[0]) ** 2 + (j * math.pi / dims[1]) ** 2).ravel()
+    order = np.argsort(lam, kind="stable")[:K]
+    return list(zip(i.ravel()[order], j.ravel()[order])), lam[order]
+
+
+# aspect ratios 1 to 1000 over the whole length domain [1e-3, 1e3]; a
+# guessed index bound ceil(sqrt(2K)) + 2 first dropped a Dirichlet mode near
+# aspect 2.04 (K = 128), 3.17 (K = 16) and 3.88 (K = 8)
+@pytest.mark.parametrize("dims", [
+    (1.0, 1.0), (1e-3, 1e-3), (2.1, 1.0), (1.0, 3.2), (3.93, 1.0), (4.0, 1.0),
+    (1.0, 100.0), (1e3, 1.0), (1e-3, 1.0)])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_rectangle_modes_are_the_lowest(dims, bc):
+    for K in (1, 8, 16, 64, 128):
+        _, lam = _lowest_modes(dims, bc, K)
+        sys_ = rectangle_eigensystem(*dims, bc, K)
+        assert sys_.K == K
+        np.testing.assert_allclose(sys_.lambdas, lam, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_tied_rectangle_modes_keep_index_order(bc):
+    # on a square every (i, j), i != j, ties with (j, i); (min, max) first
+    sys_ = rectangle_eigensystem(2.0, 2.0, bc, 16)
+    x, y = sys_.quad_nodes.T
+    mode = np.sin if bc == "dirichlet" else np.cos
+    for row, (i, j) in zip(sys_.basis, _lowest_modes((2.0, 2.0), bc, 16)[0]):
+        e = mode(i * math.pi / 2.0 * x) * mode(j * math.pi / 2.0 * y)
+        e /= math.sqrt(e @ (sys_.quad_weights * e))
+        np.testing.assert_allclose(row, e, atol=1e-12)
+
+
+def test_rectangle_keeps_low_modes_at_the_cli_default():
+    # (9, 1) lies past the old index bound ceil(sqrt(2K)) + 2 = 8
+    sys_ = rectangle_eigensystem(4.0, 1.0, "dirichlet", 16)
+    assert sys_.lambdas[13] == (9.0 * math.pi / 4.0) ** 2 + math.pi ** 2
+
+
+def test_long_box_projects_its_twentieth_mode():
+    sys_ = rectangle_eigensystem(100.0, 1.0, "dirichlet", 64)
+    u0k = project_initial_data(sys_, lambda x, y: np.sin(math.pi * y) * (
+        np.sin(math.pi * x / 100.0) + 0.5 * np.sin(20.0 * math.pi * x / 100.0)))
+    live = np.flatnonzero(np.abs(u0k) > 1e-12)
+    assert live.tolist() == [0, 19]  # modes (1, 1) and (20, 1)
+    np.testing.assert_allclose(u0k[live], [5.0, 2.5], rtol=1e-12)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_widest_box_basis_is_orthonormal(bc):
+    sys_ = rectangle_eigensystem(1e3, 1e-3, bc, 128)
+    assert sys_.quad_nodes.shape == (len(sys_.quad_weights), 2)
+    G = (sys_.basis * sys_.quad_weights) @ sys_.basis.T
+    assert np.max(np.abs(G - np.eye(128))) < 1e-12
+
+
+def test_mode_count_is_not_a_field():
+    sys_ = interval_eigensystem(1.0, "neumann", 4)
+    assert "K" not in {f.name for f in dataclasses.fields(sys_)}
+    assert sys_.quad_nodes.shape == (len(sys_.quad_weights), 1)
+    wrong = dataclasses.replace(sys_, lambdas=2.0 * sys_.lambdas)
+    assert wrong.K == 4 and wrong.basis is sys_.basis
+
+
 def test_projection_of_pure_mode_is_exact():
     sys_ = interval_eigensystem(math.pi, "dirichlet", 8)
     u0k = project_initial_data(sys_, lambda x: np.sin(2.0 * x))
