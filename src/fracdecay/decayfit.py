@@ -146,8 +146,9 @@ def check_envelope(times, energies, exponent: float, two_sided: bool = True,
     The window is ``_tail``'s, as in ``fit_power_tail``, which gives the
     same ``fitted_exponent`` and ``residual_rms``; a trace or window that
     ``_tail`` finds too small is ``degenerate``, with its reason as notes.
-    An exponent not positive and finite, or whose profile overflows at a
-    finite time of the trace, raises DegenerateTrace.
+    An exponent not positive and finite, or whose profile 1 + t^s or
+    envelope constant E(1 + t^s) overflows at a finite time of the trace,
+    raises DegenerateTrace.
     """
     if not 0.0 < exponent < math.inf:
         raise DegenerateTrace("envelope exponent not positive and finite")
@@ -161,7 +162,11 @@ def check_envelope(times, energies, exponent: float, two_sided: bool = True,
     except DegenerateTrace as exc:
         nan = np.full(np.shape(times), math.nan)
         return DecayReport("degenerate", notes=str(exc), lower=nan, upper=nan)
-    q = e * (1.0 + t ** exponent)
+    with np.errstate(over="ignore"):
+        q = e * (1.0 + t ** exponent)
+    if np.isinf(q).any():
+        raise DegenerateTrace(f"envelope constant E(1 + t^s) overflows at "
+                              f"exponent {exponent:g}")
     lt = np.log(t[mask])
     slope = _line_fit(lt, np.log(q[mask]))[0]
     neg_s, _, resid = _line_fit(lt, np.log(e[mask]))

@@ -24,7 +24,7 @@ DOMAINS = {
     "grading": "[1, 10]",         # uniform to steep; default_grading <= 4
     "L": "[1e-3, 1e3]",           # (K pi / L)^2 <= 1.6e11 at 128 modes
     "points": "[3, 65536]",       # far history of J M floats, J <= 752: 0.4 GB
-    "modes": "[1, 128]",          # widest 128-mode basis: 0.17 GB (73 x 1)
+    "modes": "[1, 128]",          # widest 128-mode projection: 10 MB
     "lam": "[0, 1e12]",           # eigenvalues reach 1.6e11 (L and modes)
     "nu": "(0, 1e6]",             # semilinear rate, bounded as kappa
     "delta": "[0.01, 10]",        # envelope exponent (a + b)/delta <= 1100

@@ -7,12 +7,13 @@ trajectory is a closed form:
     sub-diffusion:  u_k(t) = u_{0k} E_{a, 1+b/a, b/a}(-lam_k t^(a+b)),
     heat:           u_k(t) = u_{0k} exp(-lam_k int_0^t a(s) ds).
 
-Inner products use composite Gauss-Legendre panels sized to the mode
-count; a Parseval-defect guard catches under-resolved projections.
+Projections use per-axis Gauss-Legendre panels sized to the mode count;
+a Parseval-defect guard catches under-resolved projections.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,27 +31,14 @@ PER_DECADE = 40  # log_times samples per decade
 BOUND_SLACK = 1e-9
 
 
-def _panel_rule(a, b, panels):
-    """Composite 6-point Gauss-Legendre nodes/weights on [a, b]."""
-    x0, w0 = _gauss_jacobi(6, 0.0)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    weights = (half[:, None] * w0[None, :]).ravel()
-    return nodes, weights
-
-
 @dataclass(frozen=True)
 class EigenSystem:
-    """Explicit Laplacian eigenpairs with a quadrature for inner products."""
+    """The K lowest Dirichlet/Neumann Laplacian eigenpairs of a box."""
 
     geometry: tuple          # (L,) or (Lx, Ly)
     bc: str                  # "dirichlet" | "neumann"
     lambdas: np.ndarray      # (K,) ascending
-    basis: np.ndarray        # (K, nq) eigenfunctions at quadrature nodes
-    quad_nodes: np.ndarray   # (nq, d)
-    quad_weights: np.ndarray # (nq,)
+    index: np.ndarray        # (K, d) 1-D mode index of each axis
 
     @property
     def K(self) -> int:
@@ -77,26 +65,15 @@ def _box_eigensystem(lengths, bc, K):
     """The K lowest product modes of the box prod_i (0, L_i), ties in index
     order.  A mode with an axis index >= start + K has K modes below it
     along that axis, so the index tuples in [start, start + K)^d hold them
-    all.  An axis using n 1-D modes gets 4n + 1 six-point Gauss-Legendre
-    panels; basis and quadrature are tensor products over the axes."""
+    all."""
     require(L=lengths, modes=K)
     start = _first_mode(bc)
     idx = np.array(list(itertools.product(range(start, start + K),
                                           repeat=len(lengths))))
     lam = np.sum((idx * math.pi / np.array(lengths)) ** 2, axis=1)
     order = np.argsort(lam, kind="stable")[:K]
-    idx, lam = idx[order], lam[order]
-    basis, weights, axes = np.ones((K, 1)), np.ones(1), []
-    for L, ks in zip(lengths, idx.T):
-        x, w = _panel_rule(0.0, L, 4 * (ks.max() + 1 - start) + 1)
-        modes = np.array([_mode_1d(L, bc, k, x) for k in ks])
-        basis = (basis[:, :, None] * modes[:, None, :]).reshape(K, -1)
-        weights = np.outer(weights, w).ravel()
-        axes.append(x)
-    nodes = np.meshgrid(*axes, indexing="ij")
-    return EigenSystem(geometry=tuple(lengths), bc=bc, lambdas=lam,
-                       basis=basis, quad_weights=weights,
-                       quad_nodes=np.column_stack([x.ravel() for x in nodes]))
+    return EigenSystem(geometry=tuple(lengths), bc=bc, lambdas=lam[order],
+                       index=idx[order])
 
 
 def interval_eigensystem(L: float, bc: str = "dirichlet", K: int = 64) -> EigenSystem:
@@ -119,14 +96,36 @@ def log_times(T: float, t_min: float = 1e-2) -> np.ndarray:
 
 
 def project_initial_data(sys: EigenSystem, u0) -> np.ndarray:
-    """Modal coefficients u_{0k} = int u0 e_k dx by quadrature.
+    """Modal coefficients u_{0k} = int u0 e_k dx by quadrature: an axis
+    using n 1-D modes gets 4n + 1 six-point Gauss-Legendre panels, and u0
+    on the tensor grid of the axis nodes is contracted with each axis'
+    (n, q) table of 1-D modes in turn.
 
-    Raises QuadratureUnderResolved when the Parseval defect
-    ||u0||^2 - sum u_{0k}^2 exceeds 1% of ||u0||^2.
+    DomainError when u0 or ||u0||^2 is not finite; QuadratureUnderResolved
+    when the Parseval defect ||u0||^2 - sum u_{0k}^2 exceeds 1% of ||u0||^2.
     """
-    vals = np.asarray(u0(*sys.quad_nodes.T), dtype=float)
-    coeffs = sys.basis @ (sys.quad_weights * vals)
-    norm2 = float(sys.quad_weights @ vals ** 2)
+    start, (x0, w0) = _first_mode(sys.bc), _gauss_jacobi(6, 0.0)
+    nodes, weights, tables = [], [], []
+    for L, top in zip(sys.geometry, sys.index.max(axis=0)):
+        edges = np.linspace(0.0, L, 4 * (top + 1 - start) + 2)
+        half = 0.5 * np.diff(edges)[:, None]
+        x = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x0).ravel()
+        nodes.append(x)
+        weights.append((half * w0).ravel())
+        tables.append(np.array([_mode_1d(L, sys.bc, k, x)
+                                for k in range(start, top + 1)]))
+    vals = np.asarray(u0(*np.meshgrid(*nodes, indexing="ij")), dtype=float)
+    if not np.isfinite(vals).all():
+        raise DomainError("initial data is not finite at a quadrature node")
+    w = functools.reduce(np.multiply.outer, weights)
+    with np.errstate(over="ignore"):
+        norm2 = float(w.ravel() @ vals.ravel() ** 2)
+    if not math.isfinite(norm2):
+        raise DomainError(f"||u0||^2 = {norm2} is not finite")
+    c = w * vals
+    for modes in reversed(tables):
+        c = np.tensordot(modes, c, axes=(1, -1))
+    coeffs = c[tuple((sys.index - start).T)]
     defect = norm2 - float(coeffs @ coeffs)
     if norm2 > 0 and defect > 0.01 * norm2:
         raise QuadratureUnderResolved(

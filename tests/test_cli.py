@@ -342,6 +342,21 @@ def test_decay_fit_overflowing_exponent_is_degenerate(tmp_path, capsys):
         "degenerate: envelope exponent 1000 overflows")
 
 
+def test_decay_fit_overflowing_envelope_constant_is_degenerate(tmp_path,
+                                                              capsys):
+    # the profile 1 + t^10 stays below 1e31 on t <= 1e3, but E(1 + t^10)
+    # with E = 1e300/(1 + t) overflows: a degenerate error naming the
+    # constant, not `violated` with an infinite bound and a NaN slope
+    t = np.logspace(-1, 3, 161)
+    path = str(tmp_path / "huge.csv")
+    write_csv_atomic(path, ["t", "E"], [t, 1e300 / (1.0 + t)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("decay", "fit", "--input", path, "--exponent", "10") == 4
+    assert capsys.readouterr().err.startswith(
+        "degenerate: envelope constant E(1 + t^s) overflows at exponent 10")
+
+
 def test_decay_fit_model_selection(tmp_path, capsys):
     t = np.logspace(-1, 3, 200)
     write_csv_atomic(str(tmp_path / "pow.csv"), ["t", "E"],

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,11 +31,31 @@ def test_rectangle_eigenvalues_sorted():
     assert np.all(np.diff(sysR.lambdas) >= 0)
 
 
+def _product_mode(dims, bc, ks):
+    """The normalized Laplacian eigenfunction with 1-D indices ks on the box
+    prod_i (0, dims[i]), from its closed form."""
+    mode = np.sin if bc == "dirichlet" else np.cos
+
+    def e(*xs):
+        out = 1.0
+        for L, k, x in zip(dims, ks, xs):
+            out = out * math.sqrt((1.0 if k == 0 else 2.0) / L) * mode(
+                k * math.pi / L * x)
+        return out
+    return e
+
+
+def _assert_modes_project_to_unit_vectors(sys_, atol=1e-12):
+    # projecting the p-th eigenfunction gives the p-th unit vector
+    for p, ks in enumerate(sys_.index):
+        u0k = project_initial_data(sys_, _product_mode(sys_.geometry,
+                                                       sys_.bc, ks))
+        np.testing.assert_allclose(u0k, np.eye(sys_.K)[p], rtol=0, atol=atol)
+
+
 def test_basis_orthonormal_under_quadrature():
     for bc in ("dirichlet", "neumann"):
-        sys_ = interval_eigensystem(2.0, bc, 8)
-        G = (sys_.basis * sys_.quad_weights) @ sys_.basis.T
-        assert np.max(np.abs(G - np.eye(8))) < 1e-12
+        _assert_modes_project_to_unit_vectors(interval_eigensystem(2.0, bc, 8))
 
 
 def _lowest_modes(dims, bc, K):
@@ -65,18 +88,16 @@ def test_rectangle_modes_are_the_lowest(dims, bc):
 def test_tied_rectangle_modes_keep_index_order(bc):
     # on a square every (i, j), i != j, ties with (j, i); (min, max) first
     sys_ = rectangle_eigensystem(2.0, 2.0, bc, 16)
-    x, y = sys_.quad_nodes.T
-    mode = np.sin if bc == "dirichlet" else np.cos
-    for row, (i, j) in zip(sys_.basis, _lowest_modes((2.0, 2.0), bc, 16)[0]):
-        e = mode(i * math.pi / 2.0 * x) * mode(j * math.pi / 2.0 * y)
-        e /= math.sqrt(e @ (sys_.quad_weights * e))
-        np.testing.assert_allclose(row, e, atol=1e-12)
+    np.testing.assert_array_equal(sys_.index,
+                                  _lowest_modes((2.0, 2.0), bc, 16)[0])
+    _assert_modes_project_to_unit_vectors(sys_)
 
 
 def test_rectangle_keeps_low_modes_at_the_cli_default():
     # (9, 1) lies past the old index bound ceil(sqrt(2K)) + 2 = 8
     sys_ = rectangle_eigensystem(4.0, 1.0, "dirichlet", 16)
     assert sys_.lambdas[13] == (9.0 * math.pi / 4.0) ** 2 + math.pi ** 2
+    assert tuple(sys_.index[13]) == (9, 1)
 
 
 def test_long_box_projects_its_twentieth_mode():
@@ -90,18 +111,31 @@ def test_long_box_projects_its_twentieth_mode():
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 def test_widest_box_basis_is_orthonormal(bc):
-    sys_ = rectangle_eigensystem(1e3, 1e-3, bc, 128)
-    assert sys_.quad_nodes.shape == (len(sys_.quad_weights), 2)
-    G = (sys_.basis * sys_.quad_weights) @ sys_.basis.T
-    assert np.max(np.abs(G - np.eye(128))) < 1e-12
+    _assert_modes_project_to_unit_vectors(
+        rectangle_eigensystem(1e3, 1e-3, bc, 128))
+
+
+def test_long_box_projection_stores_no_basis():
+    # the 128 lowest modes of a 73.3 x 1 box take 3030 x 54 nodes: a
+    # K x nq tensor-product basis would hold 168 MB, the per-axis mode
+    # tables hold 3 MB
+    tracemalloc.start()
+    try:
+        sys_ = rectangle_eigensystem(73.3, 1.0, "dirichlet", 128)
+        project_initial_data(sys_, lambda x, y: x * (73.3 - x) * y * (1 - y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_mode_count_is_not_a_field():
     sys_ = interval_eigensystem(1.0, "neumann", 4)
-    assert "K" not in {f.name for f in dataclasses.fields(sys_)}
-    assert sys_.quad_nodes.shape == (len(sys_.quad_weights), 1)
+    assert [f.name for f in dataclasses.fields(sys_)] == [
+        "geometry", "bc", "lambdas", "index"]
+    np.testing.assert_array_equal(sys_.index, [[0], [1], [2], [3]])
     wrong = dataclasses.replace(sys_, lambdas=2.0 * sys_.lambdas)
-    assert wrong.K == 4 and wrong.basis is sys_.basis
+    assert wrong.K == 4 and wrong.index is sys_.index
 
 
 def test_projection_of_pure_mode_is_exact():
@@ -110,6 +144,22 @@ def test_projection_of_pure_mode_is_exact():
     expected = np.zeros(8)
     expected[1] = math.sqrt(math.pi / 2.0)  # ||sin(2x)|| on (0, pi)
     assert np.max(np.abs(u0k - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("u0, cause", [
+    (lambda x: np.where(x > 3.0, np.nan, x), "not finite at a quadrature node"),
+    (lambda x: np.where(x > 3.0, np.inf, x), "not finite at a quadrature node"),
+    (lambda x: np.where(x > 3.0, -np.inf, x), "not finite at a quadrature node"),
+    (lambda x: np.full_like(x, 1e200), "||u0||^2 = inf is not finite"),
+], ids=["nan", "inf", "-inf", "1e200"])
+def test_nonfinite_initial_data_is_refused(u0, cause):
+    # a NaN coefficient slipped past the Parseval guard (NaN > x is false)
+    # and an overflowing ||u0||^2 passed it with overflow warnings
+    sys_ = interval_eigensystem(math.pi, "dirichlet", 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=re.escape(cause)):
+            project_initial_data(sys_, u0)
 
 
 def test_underresolved_projection_raises():
